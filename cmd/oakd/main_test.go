@@ -210,7 +210,7 @@ func TestLoadStateCorruptFallsBackToBackup(t *testing.T) {
 	if err := loadState(server2.Engine(), statePath); err != nil {
 		t.Errorf("corrupt primary with good backup must not abort boot: %v", err)
 	}
-	if got := server2.Engine().StateRecoveries(); got != 1 {
+	if got := server2.Engine().Metrics().StateRecoveries; got != 1 {
 		t.Errorf("StateRecoveries = %d, want 1", got)
 	}
 }

@@ -25,6 +25,10 @@ import (
 // adds a bounded queue and a worker pool in front of the shards; engines
 // with a pipeline should be Closed when no longer needed.
 type Engine struct {
+	// metrics is first so its uint64 counters are 64-bit aligned for
+	// sync/atomic on every platform.
+	metrics Metrics
+
 	rulesMu sync.RWMutex
 	rules   []*rules.Rule
 	// rulesGen increments on every SetRules. It feeds the activation
@@ -41,7 +45,6 @@ type Engine struct {
 	policy  Policy
 	matcher *Matcher
 	ledger  *Ledger
-	metrics metrics
 	now     func() time.Time
 	logf    func(format string, args ...any)
 
@@ -317,9 +320,9 @@ func (e *Engine) process(r *report.Report) (*AnalysisResult, error) {
 	now := e.now()
 	servers := report.GroupByServer(r)
 	violations := DetectViolators(servers, e.policy.MADMultiplier)
-	e.metrics.reportsHandled.Add(1)
-	e.metrics.entriesProcessed.Add(uint64(len(r.Entries)))
-	e.metrics.violationsDetected.Add(uint64(len(violations)))
+	atomic.AddUint64(&e.metrics.ReportsHandled, 1)
+	atomic.AddUint64(&e.metrics.EntriesProcessed, uint64(len(r.Entries)))
+	atomic.AddUint64(&e.metrics.ViolationsDetected, uint64(len(violations)))
 
 	// Script URLs the client actually loaded, for the external-JS tier. The
 	// matcher reads the slice only during analyzeLocked, so the buffer is
@@ -387,7 +390,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 
 	for _, ex := range prof.pruneExpired(now) {
 		e.unindexActivation(sh, r.UserID, ex.ID, ex.AltIndex)
-		e.metrics.ruleExpirations.Add(1)
+		atomic.AddUint64(&e.metrics.RuleExpirations, 1)
 		res.Changes = append(res.Changes, RuleChange{RuleID: ex.ID, Action: "expire"})
 		if e.tracing() {
 			e.traceAt(now, obs.Event{Kind: obs.EventExpire, User: r.UserID, RuleID: ex.ID})
@@ -437,7 +440,7 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			if !admit {
 				// The target provider (or the rule itself) is quarantined:
 				// this user is never steered onto a known-bad alternate.
-				e.metrics.activationsBlocked.Inc()
+				atomic.AddUint64(&e.metrics.ActivationsBlocked, 1)
 				if e.tracing() {
 					e.traceAt(now, obs.Event{
 						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
@@ -449,14 +452,14 @@ func (e *Engine) analyzeLocked(sh *shard, r *report.Report, now time.Time, serve
 			}
 			prof.activate(rule, altIdx, now, v.Server.Addr, v.Distance)
 			e.indexActivation(sh, r.UserID, rule.ID, altIdx)
-			e.metrics.ruleActivations.Add(1)
+			atomic.AddUint64(&e.metrics.RuleActivations, 1)
 			e.ledger.RecordActivation(rule.ID, r.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: v.Server.Addr,
 				AltIndex: altIdx, Level: level,
 			})
 			if canary {
-				e.metrics.canaryActivations.Inc()
+				atomic.AddUint64(&e.metrics.CanaryActivations, 1)
 				if e.tracing() {
 					e.traceAt(now, obs.Event{
 						Kind: obs.EventCanary, User: r.UserID, RuleID: rule.ID,
@@ -524,10 +527,10 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			if admit, canary, blockedBy := e.guardAdmit(id, next); !admit {
 				// The next alternative's provider is quarantined: revert to
 				// the default rather than steer the user onto it.
-				e.metrics.activationsBlocked.Inc()
+				atomic.AddUint64(&e.metrics.ActivationsBlocked, 1)
 				e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 				prof.deactivate(id)
-				e.metrics.ruleDeactivations.Add(1)
+				atomic.AddUint64(&e.metrics.RuleDeactivations, 1)
 				res.Changes = append(res.Changes, RuleChange{
 					RuleID: id, Action: "deactivate", Server: v.Server.Addr,
 				})
@@ -540,7 +543,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 				}
 				break
 			} else if canary {
-				e.metrics.canaryActivations.Inc()
+				atomic.AddUint64(&e.metrics.CanaryActivations, 1)
 				if e.tracing() {
 					e.traceAt(now, obs.Event{
 						Kind: obs.EventCanary, User: prof.UserID, RuleID: id,
@@ -551,7 +554,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 			prof.activate(a.Rule, next, now, v.Server.Addr, v.Distance)
 			e.indexActivation(sh, prof.UserID, id, next)
-			e.metrics.ruleActivations.Add(1)
+			atomic.AddUint64(&e.metrics.RuleActivations, 1)
 			e.ledger.RecordActivation(id, prof.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "advance", Server: v.Server.Addr, AltIndex: next,
@@ -567,7 +570,7 @@ func (e *Engine) reconcileActiveRules(sh *shard, prof *Profile, v Violation, now
 			// default was and nothing fresh remains: revert.
 			e.unindexActivation(sh, prof.UserID, id, a.AltIndex)
 			prof.deactivate(id)
-			e.metrics.ruleDeactivations.Add(1)
+			atomic.AddUint64(&e.metrics.RuleDeactivations, 1)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: id, Action: "deactivate", Server: v.Server.Addr,
 			})
@@ -728,7 +731,7 @@ func (e *Engine) observeRewrite(userID, path, page string, start time.Time, rw R
 	// HTML comparison only breaks the tie for degenerate identity
 	// replacements, and short-circuits away on the untouched path.
 	if len(rw.Applied) > 0 && rw.HTML != page {
-		e.metrics.pagesModified.Add(1)
+		atomic.AddUint64(&e.metrics.PagesModified, 1)
 		if e.tracing() {
 			e.trace(obs.Event{
 				Kind: obs.EventRewrite, User: userID,
@@ -736,7 +739,7 @@ func (e *Engine) observeRewrite(userID, path, page string, start time.Time, rw R
 			})
 		}
 	} else {
-		e.metrics.pagesUntouched.Add(1)
+		atomic.AddUint64(&e.metrics.PagesUntouched, 1)
 	}
 }
 
@@ -857,36 +860,4 @@ func (e *Engine) TraceRecent(n int) []obs.Event {
 		return nil
 	}
 	return e.traceBuf.Recent(n)
-}
-
-// LatencySnapshots are point-in-time copies of the engine's hot-path
-// latency histograms.
-type LatencySnapshots struct {
-	// Ingest is per-report HandleReport latency (grouping through
-	// decision-making), merged across all shards.
-	Ingest obs.Snapshot
-	// IngestShards holds each shard's ingest histogram, indexed by shard.
-	// A shard whose latencies stand out from its peers indicates a hot
-	// user population (hash skew or a few very busy users).
-	IngestShards []obs.Snapshot
-	// Rewrite is per-page ModifyPage latency.
-	Rewrite obs.Snapshot
-	// Rehydrate is per-profile spill-rehydration latency (engines with a
-	// profile residency cap; empty otherwise).
-	Rehydrate obs.Snapshot
-}
-
-// Latencies snapshots the ingest (overall and per shard) and rewrite
-// histograms.
-func (e *Engine) Latencies() LatencySnapshots {
-	ls := LatencySnapshots{
-		IngestShards: make([]obs.Snapshot, len(e.shards)),
-		Rewrite:      e.rewriteHist.Snapshot(),
-		Rehydrate:    e.rehydrateHist.Snapshot(),
-	}
-	for i, sh := range e.shards {
-		ls.IngestShards[i] = sh.ingest.Snapshot()
-		ls.Ingest = ls.Ingest.Merge(ls.IngestShards[i])
-	}
-	return ls
 }

@@ -53,8 +53,8 @@ func TestPreGuardSnapshotLoadsWithEmptyGuardState(t *testing.T) {
 	if dst.Users() != 1 {
 		t.Errorf("Users = %d, want 1", dst.Users())
 	}
-	st, ok := dst.GuardStatus()
-	if !ok {
+	st := dst.Status().Guard
+	if st == nil {
 		t.Fatal("GuardStatus not ok")
 	}
 	if len(st.Breakers) != 0 || len(st.Quarantines) != 0 || len(st.QuarantinedRules) != 0 {
@@ -85,7 +85,7 @@ func TestLegacyPlainJSONLoadsWithEmptyGuardState(t *testing.T) {
 	if err := dst.ImportState(legacy); err != nil {
 		t.Fatalf("legacy state rejected by guard-enabled engine: %v", err)
 	}
-	st, _ := dst.GuardStatus()
+	st := dst.Status().Guard
 	if len(st.Breakers) != 0 {
 		t.Errorf("guard state after legacy import = %+v, want empty", st)
 	}
@@ -124,10 +124,10 @@ func TestGuardStateSurvivesSnapshotRoundTrip(t *testing.T) {
 	if err := e2.ImportState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.OpenBreakers(); len(got) != 1 || got[0] != "s2.net" {
+	if got := e2.Status().Guard.Quarantines; len(got) != 1 || got[0] != "s2.net" {
 		t.Errorf("OpenBreakers after import = %v, want [s2.net]", got)
 	}
-	st, _ := e2.GuardStatus()
+	st := e2.Status().Guard
 	if len(st.QuarantinedRules) != 1 || st.QuarantinedRules[0] != "jquery" {
 		t.Errorf("QuarantinedRules after import = %v, want [jquery]", st.QuarantinedRules)
 	}

@@ -86,8 +86,7 @@ func TestGuardConcurrentTripAndServe(t *testing.T) {
 				t.Errorf("ExportState: %v", err)
 				return
 			}
-			e.GuardStatus()
-			e.OpenBreakers()
+			e.Status()
 			e.Metrics()
 		}
 	}()

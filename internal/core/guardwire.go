@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"oak/internal/guard"
@@ -77,9 +78,6 @@ func (e *Engine) initGuard() {
 		Now:              func() time.Time { return e.now() },
 	})
 }
-
-// GuardEnabled reports whether the engine was built with WithGuard.
-func (e *Engine) GuardEnabled() bool { return e.guard != nil }
 
 // altHostsOf extracts the provider hostnames an alternative's text points at
 // (src/href attributes plus free-text host mentions — the same surfaces
@@ -307,7 +305,7 @@ func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs floa
 	case guard.TransitionTrip, guard.TransitionReopen:
 		e.tripProvider(provider, fmt.Sprintf("breaker tripped (delta %.1fms)", deltaMs))
 	case guard.TransitionClose:
-		e.metrics.breakerCloses.Inc()
+		atomic.AddUint64(&e.metrics.BreakerCloses, 1)
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventReadmit, Provider: provider,
 				Detail: "breaker closed after good canary outcomes"})
@@ -318,7 +316,7 @@ func (e *Engine) ObserveProviderOutcome(provider string, good bool, deltaMs floa
 // tripProvider does the engine-side bookkeeping of a breaker trip: metrics,
 // trace, and the cross-shard bulk rollback. Caller must not hold shard locks.
 func (e *Engine) tripProvider(provider, detail string) {
-	e.metrics.breakerTrips.Inc()
+	atomic.AddUint64(&e.metrics.BreakerTrips, 1)
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, Provider: provider, Detail: detail})
 	}
@@ -364,8 +362,8 @@ func (e *Engine) rollbackProvider(provider string) int {
 			}
 			e.unindexActivation(sh, en.user, en.rule, a.AltIndex)
 			prof.deactivate(en.rule)
-			e.metrics.ruleDeactivations.Add(1)
-			e.metrics.bulkDeactivations.Inc()
+			atomic.AddUint64(&e.metrics.RuleDeactivations, 1)
+			atomic.AddUint64(&e.metrics.BulkDeactivations, 1)
 			total++
 			if e.tracing() {
 				e.trace(obs.Event{Kind: obs.EventRollback, User: en.user,
@@ -395,8 +393,8 @@ func (e *Engine) rollbackRule(ruleID string) int {
 			}
 			e.unindexActivation(sh, uid, ruleID, a.AltIndex)
 			prof.deactivate(ruleID)
-			e.metrics.ruleDeactivations.Add(1)
-			e.metrics.bulkDeactivations.Inc()
+			atomic.AddUint64(&e.metrics.RuleDeactivations, 1)
+			atomic.AddUint64(&e.metrics.BulkDeactivations, 1)
 			total++
 			if e.tracing() {
 				e.trace(obs.Event{Kind: obs.EventRollback, User: uid,
@@ -420,7 +418,7 @@ func (e *Engine) noteRulePanic(ruleID string) {
 	if !e.guard.ObserveRulePanic(ruleID) {
 		return
 	}
-	e.metrics.ruleQuarantines.Inc()
+	atomic.AddUint64(&e.metrics.RuleQuarantines, 1)
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "rule quarantined after repeated rewrite panics"})
@@ -447,7 +445,7 @@ func (e *Engine) ReleaseProvider(provider string) {
 		return
 	}
 	if e.guard.ForceClose(provider) {
-		e.metrics.breakerCloses.Inc()
+		atomic.AddUint64(&e.metrics.BreakerCloses, 1)
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventReadmit, Provider: provider,
 				Detail: "manual release"})
@@ -464,7 +462,7 @@ func (e *Engine) QuarantineRule(ruleID string) {
 	if !e.guard.QuarantineRule(ruleID) {
 		return
 	}
-	e.metrics.ruleQuarantines.Inc()
+	atomic.AddUint64(&e.metrics.RuleQuarantines, 1)
 	if e.tracing() {
 		e.trace(obs.Event{Kind: obs.EventQuarantine, RuleID: ruleID,
 			Detail: "manual rule quarantine"})
@@ -480,8 +478,8 @@ func (e *Engine) ReleaseRule(ruleID string) {
 	e.guard.ReleaseRule(ruleID)
 }
 
-// GuardStatus is the guard's externally visible state, served under "guard"
-// in /oak/metrics.
+// GuardStatus is the guard's externally visible state: Status().Guard,
+// served under "guard" in /oak/metrics.
 type GuardStatus struct {
 	// Breakers is every tracked provider breaker, sorted by provider.
 	Breakers []guard.ProviderStatus `json:"breakers,omitempty"`
@@ -497,27 +495,19 @@ type GuardStatus struct {
 	RewritePanics uint64 `json:"rewrite_panics"`
 }
 
-// GuardStatus snapshots the guard state; ok is false on guardless engines.
-func (e *Engine) GuardStatus() (GuardStatus, bool) {
-	if e.guard == nil {
-		return GuardStatus{}, false
-	}
-	return GuardStatus{
-		Breakers:          e.guard.Snapshot(),
-		Quarantines:       e.guard.OpenProviders(),
-		QuarantinedRules:  e.guard.QuarantinedRules(),
-		CanaryActivations: e.metrics.canaryActivations.Value(),
-		RewritePanics:     e.metrics.rewritePanics.Value(),
-	}, true
-}
-
-// OpenBreakers lists providers currently quarantined by an open breaker
-// (nil on guardless engines). Healthz surfaces this.
-func (e *Engine) OpenBreakers() []string {
+// guardStatus snapshots the guard state with counters taken from m; nil on
+// guardless engines.
+func (e *Engine) guardStatus(m *Metrics) *GuardStatus {
 	if e.guard == nil {
 		return nil
 	}
-	return e.guard.OpenProviders()
+	return &GuardStatus{
+		Breakers:          e.guard.Snapshot(),
+		Quarantines:       e.guard.OpenProviders(),
+		QuarantinedRules:  e.guard.QuarantinedRules(),
+		CanaryActivations: m.CanaryActivations,
+		RewritePanics:     m.RewritePanics,
+	}
 }
 
 // AlternateProviders maps each alternate provider hostname referenced by the
@@ -576,7 +566,7 @@ func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string,
 		defer func() {
 			if r := recover(); r != nil {
 				clean = false
-				e.metrics.rewritePanics.Inc()
+				atomic.AddUint64(&e.metrics.RewritePanics, 1)
 				if e.logf != nil {
 					e.logf("core: recovered rewrite panic (compiled applier, path %s): %v", path, r)
 				}
@@ -601,7 +591,7 @@ func (e *Engine) applySafely(ent *actCacheEntry, path, page string) (out string,
 		func() {
 			defer func() {
 				if r := recover(); r != nil {
-					e.metrics.rewritePanics.Inc()
+					atomic.AddUint64(&e.metrics.RewritePanics, 1)
 					if e.logf != nil {
 						e.logf("core: recovered rewrite panic (rule %s, path %s): %v", id, path, r)
 					}

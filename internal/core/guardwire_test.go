@@ -106,7 +106,7 @@ func TestGuardTripBulkRollsBackAllUsers(t *testing.T) {
 	if len(res.Changes) != 0 {
 		t.Errorf("late-user changes = %+v, want none while open", res.Changes)
 	}
-	if got := e.OpenBreakers(); len(got) != 1 || got[0] != "s2.net" {
+	if got := e.Status().Guard.Quarantines; len(got) != 1 || got[0] != "s2.net" {
 		t.Errorf("OpenBreakers = %v, want [s2.net]", got)
 	}
 	var sawRollback bool
@@ -211,7 +211,7 @@ func TestGuardHalfOpenCanaryThenClose(t *testing.T) {
 	if m := e.Metrics(); m.BreakerCloses != 1 {
 		t.Errorf("BreakerCloses = %d, want 1", m.BreakerCloses)
 	}
-	if got := e.OpenBreakers(); len(got) != 0 {
+	if got := e.Status().Guard.Quarantines; len(got) != 0 {
 		t.Errorf("OpenBreakers = %v after close, want none", got)
 	}
 	// ...and activation is free again.
@@ -244,7 +244,7 @@ func TestGuardBadCanaryReopens(t *testing.T) {
 	}
 	// The canary went badly: the breaker reopens and rolls the canary back.
 	e.ObserveProviderOutcome("s2.net", false, 900)
-	if got := e.OpenBreakers(); len(got) != 1 {
+	if got := e.Status().Guard.Quarantines; len(got) != 1 {
 		t.Fatalf("OpenBreakers = %v, want s2.net open again", got)
 	}
 	page := `<script src="http://s1.com/jquery.js">`
@@ -300,26 +300,20 @@ func TestGuardStatusSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := plain.GuardStatus(); ok {
+	if plain.Status().Guard != nil {
 		t.Error("GuardStatus ok on guardless engine")
-	}
-	if plain.GuardEnabled() {
-		t.Error("GuardEnabled on guardless engine")
-	}
-	if got := plain.OpenBreakers(); got != nil {
-		t.Errorf("OpenBreakers = %v on guardless engine", got)
 	}
 
 	e, _ := guardEngine(t, []*rules.Rule{jqRule(0)})
-	st, ok := e.GuardStatus()
-	if !ok {
+	st := e.Status().Guard
+	if st == nil {
 		t.Fatal("GuardStatus not ok with WithGuard")
 	}
 	if len(st.Breakers) != 0 || len(st.Quarantines) != 0 {
 		t.Errorf("fresh guard status = %+v, want empty", st)
 	}
 	e.QuarantineProvider("s2.net")
-	st, _ = e.GuardStatus()
+	st = e.Status().Guard
 	if len(st.Quarantines) != 1 || st.Quarantines[0] != "s2.net" {
 		t.Errorf("Quarantines = %v, want [s2.net]", st.Quarantines)
 	}
@@ -327,7 +321,7 @@ func TestGuardStatusSurface(t *testing.T) {
 		t.Errorf("Breakers = %+v, want one open s2.net", st.Breakers)
 	}
 	e.ReleaseProvider("s2.net")
-	if got := e.OpenBreakers(); len(got) != 0 {
+	if got := e.Status().Guard.Quarantines; len(got) != 0 {
 		t.Errorf("OpenBreakers = %v after release", got)
 	}
 }
@@ -431,7 +425,7 @@ func TestServePanicQuarantinesRule(t *testing.T) {
 			t.Fatalf("serve %d: page modified: %q", i, out)
 		}
 	}
-	st, _ := e.GuardStatus()
+	st := e.Status().Guard
 	if len(st.QuarantinedRules) != 1 || st.QuarantinedRules[0] != "jquery" {
 		t.Fatalf("QuarantinedRules = %v, want [jquery]", st.QuarantinedRules)
 	}
@@ -469,7 +463,7 @@ func TestGuardRuleQuarantineViaManualOverride(t *testing.T) {
 		t.Fatal("rule not active before quarantine")
 	}
 	e.QuarantineRule("jquery")
-	st, _ := e.GuardStatus()
+	st := e.Status().Guard
 	if len(st.QuarantinedRules) != 1 || st.QuarantinedRules[0] != "jquery" {
 		t.Fatalf("QuarantinedRules = %v", st.QuarantinedRules)
 	}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"oak/internal/obs"
@@ -259,7 +260,7 @@ func (p *pipeline) enqueue(ctx context.Context, q chan ingestTask, t ingestTask)
 		case <-timer.C:
 		}
 	}
-	p.engine.metrics.reportsShed.Inc()
+	atomic.AddUint64(&p.engine.metrics.ReportsShed, 1)
 	return &OverloadError{RetryAfter: shed.RetryAfter}
 }
 
@@ -297,19 +298,13 @@ func (p *pipeline) close() {
 	p.wg.Wait()
 }
 
-// queueStatus reports the pipeline's live depth and total capacity.
-func (p *pipeline) queueStatus() (depth int64, capacity int) {
-	return p.depth.Value(), p.capacity
-}
-
-// IngestQueue reports the batched-ingest queue's current depth (reports
-// queued or being processed) and total capacity. Both are zero on an engine
-// without a pipeline.
-func (e *Engine) IngestQueue() (depth int64, capacity int) {
-	if e.pipeline == nil {
-		return 0, 0
-	}
-	return e.pipeline.queueStatus()
+// QueueStatus describes the batched-ingest queue in Status.
+type QueueStatus struct {
+	// Depth is how many reports are queued or in flight right now.
+	Depth int64 `json:"depth"`
+	// Capacity is the total bound across worker queues; submissions block
+	// (backpressure) when their worker's queue is full.
+	Capacity int `json:"capacity"`
 }
 
 // BatchResult summarises one HandleBatch call.

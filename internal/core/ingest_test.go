@@ -37,8 +37,8 @@ func TestPipelineProcessesReports(t *testing.T) {
 	if got := e.Users(); got != 20 {
 		t.Errorf("Users() = %d, want 20", got)
 	}
-	if depth, capacity := e.IngestQueue(); depth != 0 || capacity == 0 {
-		t.Errorf("queue depth=%d capacity=%d, want drained queue with capacity", depth, capacity)
+	if q := e.Status().IngestQueue; q == nil || q.Depth != 0 || q.Capacity == 0 {
+		t.Errorf("queue = %+v, want drained queue with capacity", q)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestPipelineCancelWhileQueued(t *testing.T) {
 		t.Helper()
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			if d, _ := e.IngestQueue(); d >= want {
+			if d := e.Status().IngestQueue.Depth; d >= want {
 				return
 			}
 			if time.Now().After(deadline) {
@@ -244,8 +244,7 @@ func TestBatchedIngestRace(t *testing.T) {
 	churn(func() {
 		e.Audit()
 		e.Users()
-		e.Latencies()
-		e.IngestQueue()
+		e.Status()
 	})
 
 	done := make(chan struct{})
@@ -328,7 +327,7 @@ func TestLoadSheddingShedsWhenSaturated(t *testing.T) {
 		_, err := e.HandleReport(slowS1Report("u-queued"))
 		done <- err
 	}()
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth == 2 })
+	waitFor(t, func() bool { depth := e.Status().IngestQueue.Depth; return depth == 2 })
 
 	// Report 3: nowhere to go — must be shed, not block.
 	_, err = e.HandleReport(slowS1Report("u-shed"))
@@ -386,7 +385,7 @@ func TestLoadSheddingZeroWaitShedsImmediately(t *testing.T) {
 		_, err := e.HandleReport(slowS1Report("u-queued"))
 		done <- err
 	}()
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth == 2 })
+	waitFor(t, func() bool { depth := e.Status().IngestQueue.Depth; return depth == 2 })
 
 	start := time.Now()
 	_, err = e.HandleReport(slowS1Report("u-shed"))
@@ -434,7 +433,7 @@ func TestNoSheddingBlocksInsteadOfRefusing(t *testing.T) {
 			done <- err
 		}()
 	}
-	waitFor(t, func() bool { depth, _ := e.IngestQueue(); return depth >= 2 })
+	waitFor(t, func() bool { depth := e.Status().IngestQueue.Depth; return depth >= 2 })
 	close(release)
 	for i := 0; i < 3; i++ {
 		if err := <-done; err != nil {

@@ -71,7 +71,7 @@ func TestEngineLatencyHistograms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat := e.Latencies()
+	lat := e.Status().Latencies
 	if lat.Ingest.Count != 0 || lat.Rewrite.Count != 0 {
 		t.Fatalf("fresh engine has non-empty histograms: %+v", lat)
 	}
@@ -81,7 +81,7 @@ func TestEngineLatencyHistograms(t *testing.T) {
 		}
 		e.ModifyPage("u1", "/index.html", "<html></html>")
 	}
-	lat = e.Latencies()
+	lat = e.Status().Latencies
 	if lat.Ingest.Count != 5 {
 		t.Errorf("Ingest.Count = %d, want 5", lat.Ingest.Count)
 	}
@@ -113,12 +113,12 @@ func TestEngineObsConcurrent(t *testing.T) {
 				}
 				e.ModifyPage(user, "/index.html", `<script src="http://s1.com/jquery.js">`)
 				_ = e.TraceRecent(10)
-				_ = e.Latencies()
+				_ = e.Status()
 			}
 		}(g)
 	}
 	wg.Wait()
-	lat := e.Latencies()
+	lat := e.Status().Latencies
 	if lat.Ingest.Count != 200 {
 		t.Errorf("Ingest.Count = %d, want 200", lat.Ingest.Count)
 	}

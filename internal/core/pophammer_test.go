@@ -55,11 +55,10 @@ func TestPopulationConcurrentHammer(t *testing.T) {
 	go func() { // status + export reader
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			if _, ok := e.PopulationStatus(); !ok {
+			if e.Status().Population == nil {
 				t.Error("PopulationStatus reported disabled on a synthesis engine")
 				return
 			}
-			e.DegradedProviders()
 			if _, err := e.ExportSnapshot(); err != nil {
 				t.Error(err)
 				return
@@ -101,8 +100,8 @@ func TestPopulationConcurrentHammer(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ps, ok := e.PopulationStatus()
-	if !ok {
+	ps := e.Status().Population
+	if ps == nil {
 		t.Fatal("PopulationStatus disabled after hammer")
 	}
 	if ps.TrackedProviders == 0 {

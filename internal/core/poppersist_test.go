@@ -52,7 +52,7 @@ func TestPreSynthesisSnapshotLoadsWithEmptyPopulationState(t *testing.T) {
 	if dst.Users() != 1 {
 		t.Errorf("Users = %d, want 1", dst.Users())
 	}
-	if got := dst.DegradedProviders(); len(got) != 0 {
+	if got := degradedProviders(dst); len(got) != 0 {
 		t.Errorf("DegradedProviders after pre-synthesis import = %v, want none", got)
 	}
 
@@ -121,10 +121,10 @@ func TestPopulationStateSurvivesSnapshotRoundTrip(t *testing.T) {
 	if err := e2.ImportState(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := e2.DegradedProviders(); len(got) != 1 || got[0] != "s1.com" {
+	if got := degradedProviders(e2); len(got) != 1 || got[0] != "s1.com" {
 		t.Errorf("DegradedProviders after import = %v, want [s1.com]", got)
 	}
-	ps, _ := e2.PopulationStatus()
+	ps := e2.Status().Population
 	if len(ps.Degraded) != 1 || !ps.Degraded[0].Manual {
 		t.Errorf("degraded after import = %+v, want one manual episode", ps.Degraded)
 	}

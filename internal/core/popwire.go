@@ -152,9 +152,6 @@ func (e *Engine) initPop() {
 	}
 }
 
-// SynthesisEnabled reports whether the engine was built with WithSynthesis.
-func (e *Engine) SynthesisEnabled() bool { return e.pop != nil }
-
 // feedPopLocked feeds one report's per-server download times into the
 // owning shard's provider sketches. One sample per (report, provider
 // hostname): the server's small-object mean time, the same signal the MAD
@@ -180,7 +177,7 @@ func (e *Engine) feedPopLocked(sh *shard, servers []*report.ServerPerf) {
 			sk := sp.provs[h]
 			if sk == nil {
 				if len(sp.provs) >= e.pop.cfg.MaxProviders {
-					e.metrics.popSamplesDropped.Inc()
+					atomic.AddUint64(&e.metrics.PopulationSamplesDropped, 1)
 					continue
 				}
 				sk = &stats.QuantileSketch{}
@@ -267,7 +264,7 @@ func (e *Engine) runPopTick(now time.Time) {
 			case ep == nil && bq > 0 && wq >= p.cfg.DegradeFactor*bq:
 				ep = &popEpisode{Since: now, Ratio: wq / bq, BaselineMs: bq, WindowMs: wq}
 				p.degraded[h] = ep
-				e.metrics.popTrips.Inc()
+				atomic.AddUint64(&e.metrics.PopulationTrips, 1)
 				if e.tracing() {
 					e.trace(obs.Event{Kind: obs.EventPopDegrade, Provider: h,
 						Detail: fmt.Sprintf("p%.0f %.1fms vs baseline %.1fms (%.2fx)",
@@ -276,7 +273,7 @@ func (e *Engine) runPopTick(now time.Time) {
 			case ep != nil && !ep.Manual && bq > 0 && wq <= popRecoverFactor*bq:
 				delete(p.degraded, h)
 				ep = nil
-				e.metrics.popRecoveries.Inc()
+				atomic.AddUint64(&e.metrics.PopulationRecoveries, 1)
 				if e.tracing() {
 					e.trace(obs.Event{Kind: obs.EventPopRecover, Provider: h,
 						Detail: fmt.Sprintf("p%.0f %.1fms back to baseline %.1fms",
@@ -428,7 +425,7 @@ func (e *Engine) synthesizeLocked(sh *shard, prof *Profile, r *report.Report, no
 				}
 			}
 			if !admit {
-				e.metrics.synthesisBlocked.Inc()
+				atomic.AddUint64(&e.metrics.SynthesisBlocked, 1)
 				if e.tracing() {
 					e.trace(obs.Event{
 						Kind: obs.EventQuarantine, User: r.UserID, RuleID: rule.ID,
@@ -448,15 +445,15 @@ func (e *Engine) synthesizeLocked(sh *shard, prof *Profile, r *report.Report, no
 			a := prof.activate(rule, altIdx, now, s.Addr, dist)
 			a.Synthesized = true
 			e.indexActivation(sh, r.UserID, rule.ID, altIdx)
-			e.metrics.ruleActivations.Add(1)
-			e.metrics.synthesizedActivations.Inc()
+			atomic.AddUint64(&e.metrics.RuleActivations, 1)
+			atomic.AddUint64(&e.metrics.SynthesizedActivations, 1)
 			e.ledger.RecordActivation(rule.ID, r.UserID)
 			res.Changes = append(res.Changes, RuleChange{
 				RuleID: rule.ID, Action: "activate", Server: s.Addr,
 				AltIndex: altIdx, Level: level, Synthesized: true,
 			})
 			if canary {
-				e.metrics.canaryActivations.Inc()
+				atomic.AddUint64(&e.metrics.CanaryActivations, 1)
 				if e.tracing() {
 					e.trace(obs.Event{
 						Kind: obs.EventCanary, User: r.UserID, RuleID: rule.ID,
@@ -487,7 +484,7 @@ func (e *Engine) MarkDegraded(provider string) {
 	p.mu.Lock()
 	if _, ok := p.degraded[provider]; !ok {
 		p.degraded[provider] = &popEpisode{Since: e.now(), Manual: true}
-		e.metrics.popTrips.Inc()
+		atomic.AddUint64(&e.metrics.PopulationTrips, 1)
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventPopDegrade, Provider: provider,
 				Detail: "manually marked degraded"})
@@ -507,7 +504,7 @@ func (e *Engine) ClearDegraded(provider string) {
 	p.mu.Lock()
 	if _, ok := p.degraded[provider]; ok {
 		delete(p.degraded, provider)
-		e.metrics.popRecoveries.Inc()
+		atomic.AddUint64(&e.metrics.PopulationRecoveries, 1)
 		if e.tracing() {
 			e.trace(obs.Event{Kind: obs.EventPopRecover, Provider: provider,
 				Detail: "manually cleared"})
@@ -541,8 +538,9 @@ type ProviderPopulation struct {
 	Degraded bool    `json:"degraded,omitempty"`
 }
 
-// PopulationStatus is the population layer's externally visible state,
-// served under "population" in /oak/metrics and at /oak/v1/population.
+// PopulationStatus is the population layer's externally visible state:
+// Status().Population, served under "population" in /oak/metrics and at
+// /oak/v1/population.
 type PopulationStatus struct {
 	// Degraded lists currently flagged providers, sorted by provider.
 	Degraded []DegradedProvider `json:"degraded,omitempty"`
@@ -570,23 +568,23 @@ type PopulationStatus struct {
 	SamplesDropped uint64 `json:"samplesDropped"`
 }
 
-// PopulationStatus snapshots the population layer; ok is false on engines
-// built without WithSynthesis.
-func (e *Engine) PopulationStatus() (PopulationStatus, bool) {
+// populationStatus snapshots the population layer with counters taken
+// from m; nil on engines built without WithSynthesis.
+func (e *Engine) populationStatus(m *Metrics) *PopulationStatus {
 	if e.pop == nil {
-		return PopulationStatus{}, false
+		return nil
 	}
 	p := e.pop
 	p.mu.Lock()
 	defer p.mu.Unlock()
 
-	st := PopulationStatus{
+	st := &PopulationStatus{
 		TrackedProviders:       len(p.baseline),
-		PopulationTrips:        e.metrics.popTrips.Value(),
-		PopulationRecoveries:   e.metrics.popRecoveries.Value(),
-		SynthesizedActivations: e.metrics.synthesizedActivations.Value(),
-		SynthesisBlocked:       e.metrics.synthesisBlocked.Value(),
-		SamplesDropped:         e.metrics.popSamplesDropped.Value(),
+		PopulationTrips:        m.PopulationTrips,
+		PopulationRecoveries:   m.PopulationRecoveries,
+		SynthesizedActivations: m.SynthesizedActivations,
+		SynthesisBlocked:       m.SynthesisBlocked,
+		SamplesDropped:         m.PopulationSamplesDropped,
 	}
 
 	degProvs := make([]string, 0, len(p.degraded))
@@ -620,25 +618,7 @@ func (e *Engine) PopulationStatus() (PopulationStatus, bool) {
 	}
 	st.SketchMemoryBytes = memory
 	st.TopProviders = p.hh.Top(10)
-	return st, true
-}
-
-// DegradedProviders lists currently flagged providers (nil on engines
-// without synthesis). Healthz surfaces this next to open breakers.
-func (e *Engine) DegradedProviders() []string {
-	if e.pop == nil {
-		return nil
-	}
-	degp := e.pop.degradedSet.Load()
-	if degp == nil {
-		return nil
-	}
-	out := make([]string, 0, len(*degp))
-	for h := range *degp {
-		out = append(out, h)
-	}
-	sort.Strings(out)
-	return out
+	return st
 }
 
 // popPersisted is the population section of the state snapshot. Only the

@@ -55,22 +55,32 @@ func feedWindow(t *testing.T, e *Engine, clock *testClock, tag string, n int, ms
 	}
 }
 
+// degradedProviders lists the providers e's population status flags, as
+// healthz serves them.
+func degradedProviders(e *Engine) []string {
+	var out []string
+	for _, d := range e.Status().Population.Degraded {
+		out = append(out, d.Provider)
+	}
+	return out
+}
+
 func TestPopulationFlagsAndRecoversDegradedProvider(t *testing.T) {
 	e, clock := popEngine(t, WithTraceCapacity(64))
 
 	// Window 1 warms the baseline (~100ms); nothing can be flagged yet.
 	feedWindow(t, e, clock, "warm", 8, 100)
-	if got := e.DegradedProviders(); len(got) != 0 {
+	if got := degradedProviders(e); len(got) != 0 {
 		t.Fatalf("DegradedProviders after warm-up = %v, want none", got)
 	}
 
 	// Window 2 degrades 10x; the tick flags s1.com against its baseline.
 	feedWindow(t, e, clock, "bad", 4, 1000)
-	if got := e.DegradedProviders(); len(got) != 1 || got[0] != "s1.com" {
+	if got := degradedProviders(e); len(got) != 1 || got[0] != "s1.com" {
 		t.Fatalf("DegradedProviders = %v, want [s1.com]", got)
 	}
-	ps, ok := e.PopulationStatus()
-	if !ok {
+	ps := e.Status().Population
+	if ps == nil {
 		t.Fatal("PopulationStatus not ok on synthesis-enabled engine")
 	}
 	if len(ps.Degraded) != 1 || ps.Degraded[0].Provider != "s1.com" {
@@ -95,10 +105,10 @@ func TestPopulationFlagsAndRecoversDegradedProvider(t *testing.T) {
 	// Windows of healthy traffic recover the provider: the baseline was
 	// frozen while degraded, so the healthy quantile falls back under it.
 	feedWindow(t, e, clock, "heal", 4, 100)
-	if got := e.DegradedProviders(); len(got) != 0 {
+	if got := degradedProviders(e); len(got) != 0 {
 		t.Fatalf("DegradedProviders after recovery = %v, want none", got)
 	}
-	ps, _ = e.PopulationStatus()
+	ps = e.Status().Population
 	if ps.PopulationRecoveries != 1 {
 		t.Errorf("PopulationRecoveries = %d, want 1", ps.PopulationRecoveries)
 	}
@@ -240,10 +250,10 @@ func TestMarkAndClearDegraded(t *testing.T) {
 
 	// Manual flag: no traffic needed, synthesis starts immediately.
 	e.MarkDegraded("s1.com")
-	if got := e.DegradedProviders(); len(got) != 1 || got[0] != "s1.com" {
+	if got := degradedProviders(e); len(got) != 1 || got[0] != "s1.com" {
 		t.Fatalf("DegradedProviders = %v, want [s1.com]", got)
 	}
-	ps, _ := e.PopulationStatus()
+	ps := e.Status().Population
 	if len(ps.Degraded) != 1 || !ps.Degraded[0].Manual {
 		t.Fatalf("status degraded = %+v, want one manual episode", ps.Degraded)
 	}
@@ -257,15 +267,15 @@ func TestMarkAndClearDegraded(t *testing.T) {
 
 	// Duplicate marks don't double-count.
 	e.MarkDegraded("s1.com")
-	if ps, _ := e.PopulationStatus(); ps.PopulationTrips != 1 {
+	if ps := e.Status().Population; ps.PopulationTrips != 1 {
 		t.Errorf("PopulationTrips after duplicate mark = %d, want 1", ps.PopulationTrips)
 	}
 
 	e.ClearDegraded("s1.com")
-	if got := e.DegradedProviders(); len(got) != 0 {
+	if got := degradedProviders(e); len(got) != 0 {
 		t.Fatalf("DegradedProviders after clear = %v, want none", got)
 	}
-	if ps, _ := e.PopulationStatus(); ps.PopulationRecoveries != 1 {
+	if ps := e.Status().Population; ps.PopulationRecoveries != 1 {
 		t.Errorf("PopulationRecoveries = %d, want 1", ps.PopulationRecoveries)
 	}
 }
@@ -275,14 +285,8 @@ func TestPopulationDisabledWithoutSynthesis(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.SynthesisEnabled() {
-		t.Error("SynthesisEnabled = true on plain engine")
-	}
-	if _, ok := e.PopulationStatus(); ok {
+	if e.Status().Population != nil {
 		t.Error("PopulationStatus ok on plain engine")
-	}
-	if got := e.DegradedProviders(); got != nil {
-		t.Errorf("DegradedProviders = %v, want nil", got)
 	}
 	// Manual verbs are no-ops, not panics.
 	e.MarkDegraded("s1.com")
@@ -293,7 +297,7 @@ func TestPopulationStatusReportsDistributions(t *testing.T) {
 	e, clock := popEngine(t)
 	feedWindow(t, e, clock, "warm", 6, 100)
 
-	ps, _ := e.PopulationStatus()
+	ps := e.Status().Population
 	if ps.TrackedProviders == 0 {
 		t.Fatal("TrackedProviders = 0 after a folded window")
 	}

@@ -168,6 +168,3 @@ func (e *Engine) shardIndex(userID string) int {
 func (e *Engine) shardFor(userID string) *shard {
 	return e.shards[e.shardIndex(userID)]
 }
-
-// ShardCount returns how many shards partition the engine's per-user state.
-func (e *Engine) ShardCount() int { return len(e.shards) }

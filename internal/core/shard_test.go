@@ -18,7 +18,7 @@ func TestWithShardsRounding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := e.ShardCount(); got != c.want {
+		if got := e.Status().Shards; got != c.want {
 			t.Errorf("WithShards(%d): %d shards, want %d", c.in, got, c.want)
 		}
 	}
@@ -27,7 +27,7 @@ func TestWithShardsRounding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := e.ShardCount()
+	n := e.Status().Shards
 	if n < 8 || n&(n-1) != 0 {
 		t.Errorf("default shard count %d: want power of two >= 8", n)
 	}
@@ -42,7 +42,7 @@ func TestShardIndexStableAndInRange(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		id := fmt.Sprintf("user-%d", i)
 		idx := e.shardIndex(id)
-		if idx < 0 || idx >= e.ShardCount() {
+		if idx < 0 || idx >= e.Status().Shards {
 			t.Fatalf("shardIndex(%q) = %d out of range", id, idx)
 		}
 		if idx != e.shardIndex(id) {
@@ -179,7 +179,7 @@ func TestPerShardIngestHistograms(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	lat := e.Latencies()
+	lat := e.Status().Latencies
 	if lat.Ingest.Count != reports {
 		t.Errorf("merged ingest count = %d, want %d", lat.Ingest.Count, reports)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 )
 
 // Crash-safe state files: SaveStateFile writes checksummed snapshots via
@@ -96,7 +97,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 		if ierr := e.importState(bdata, true); ierr != nil {
 			return "", fmt.Errorf("engine: import state backup: %w", ierr)
 		}
-		e.metrics.stateRecoveries.Inc()
+		atomic.AddUint64(&e.metrics.StateRecoveries, 1)
 		e.stateSource.Store(StateBackup)
 		return StateBackup, nil
 	}
@@ -124,7 +125,7 @@ func (e *Engine) LoadStateFile(path string) (StateSource, error) {
 	if ierr := e.importState(bdata, true); ierr != nil {
 		return "", fmt.Errorf("engine: snapshot and backup both unusable: %w (backup: %v)", primaryErr, ierr)
 	}
-	e.metrics.stateRecoveries.Inc()
+	atomic.AddUint64(&e.metrics.StateRecoveries, 1)
 	e.stateSource.Store(StateBackup)
 	return StateBackup, nil
 }
@@ -138,27 +139,9 @@ func (e *Engine) ImportShippedState(data []byte) error {
 	if err := e.ImportState(data); err != nil {
 		return err
 	}
-	e.metrics.stateRecoveries.Inc()
+	atomic.AddUint64(&e.metrics.StateRecoveries, 1)
 	e.stateSource.Store(StateShipped)
 	return nil
-}
-
-// StateRecoveries returns how many times state was restored from somewhere
-// other than the primary snapshot file: the rotating backup (damaged or
-// missing primary) or a shipped snapshot (node replacement).
-func (e *Engine) StateRecoveries() uint64 {
-	return e.metrics.stateRecoveries.Value()
-}
-
-// StateStatus reports where the engine's state last came from and how many
-// recoveries have happened. An engine that never loaded a state file reads
-// as StateFresh.
-func (e *Engine) StateStatus() (StateSource, uint64) {
-	src, _ := e.stateSource.Load().(StateSource)
-	if src == "" {
-		src = StateFresh
-	}
-	return src, e.metrics.stateRecoveries.Value()
 }
 
 // writeFileSync writes data to path and fsyncs it before closing, so the

@@ -247,7 +247,7 @@ func fig10Run(cfg Config) (*fig10Data, error) {
 			data.ratios[cond] = append(data.ratios[cond], r)
 		}
 	}
-	data.lat = engine.Latencies()
+	data.lat = engine.Status().Latencies
 	fig10Cache[key] = data
 	return data, nil
 }

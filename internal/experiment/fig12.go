@@ -375,7 +375,7 @@ func h12RunSite(cfg Config, site *webgen.Site, pool []webgen.Provider, home nets
 		data.ruleUserFrac = append(data.ruleUserFrac, st.UserFraction)
 		data.ruleStats = append(data.ruleStats, st)
 	}
-	lat := engine.Latencies()
+	lat := engine.Status().Latencies
 	data.ingest = data.ingest.Merge(lat.Ingest)
 	data.rewrite = data.rewrite.Merge(lat.Rewrite)
 	return nil

@@ -162,8 +162,8 @@ func TestChaosEndToEndSurvivesFaultsAndCorruption(t *testing.T) {
 	if got := rebooted.Users(); got != usersAtFirstSave {
 		t.Errorf("recovered %d users, want %d (the backup snapshot)", got, usersAtFirstSave)
 	}
-	if rebooted.StateRecoveries() != 1 {
-		t.Errorf("StateRecoveries = %d, want 1", rebooted.StateRecoveries())
+	if rebooted.Metrics().StateRecoveries != 1 {
+		t.Errorf("StateRecoveries = %d, want 1", rebooted.Metrics().StateRecoveries)
 	}
 }
 
@@ -226,7 +226,7 @@ func TestChaosShedsUnderSaturationWhilePagesServe(t *testing.T) {
 	go func() { _, _ = engine.HandleReport(fillRep) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if depth, _ := engine.IngestQueue(); depth == 2 {
+		if depth := engine.Status().IngestQueue.Depth; depth == 2 {
 			break
 		}
 		if time.Now().After(deadline) {

@@ -160,7 +160,7 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 	tripped := -1
 	for i := 0; i < reportBudget; i++ {
 		load(users[i%len(users)], int64(100+i))
-		if breakers := engine.OpenBreakers(); len(breakers) == 1 && breakers[0] == "s2.net" {
+		if breakers := engine.Status().Guard.Quarantines; len(breakers) == 1 && breakers[0] == "s2.net" {
 			tripped = i + 1
 			break
 		}
@@ -214,7 +214,7 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 		}
 		load("canary-user", int64(900+i))
 	}
-	if got := engine.OpenBreakers(); len(got) != 0 {
+	if got := engine.Status().Guard.Quarantines; len(got) != 0 {
 		t.Errorf("phase 3: OpenBreakers = %v after close", got)
 	}
 	load("post-recovery-user", 999)
@@ -236,8 +236,8 @@ func TestChaosGuardKillsAlternateMidRun(t *testing.T) {
 	if engine.Metrics().RewritePanics == 0 {
 		t.Error("phase 4: RewritePanics = 0, want > 0")
 	}
-	st, ok := engine.GuardStatus()
-	if !ok {
+	st := engine.Status().Guard
+	if st == nil {
 		t.Fatal("GuardStatus not ok")
 	}
 	if len(st.QuarantinedRules) != 1 || st.QuarantinedRules[0] != "jquery" {
@@ -290,12 +290,12 @@ func TestChaosProberTripsDeadProvider(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		if breakers := engine.OpenBreakers(); len(breakers) == 1 && breakers[0] == "s2.net" {
+		if breakers := engine.Status().Guard.Quarantines; len(breakers) == 1 && breakers[0] == "s2.net" {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("prober never tripped the dead provider; breakers = %v, metrics = %+v",
-				engine.OpenBreakers(), engine.Metrics())
+				engine.Status().Guard.Quarantines, engine.Metrics())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

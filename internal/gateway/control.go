@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"sync/atomic"
 
 	"oak/internal/core"
 	"oak/internal/origin"
@@ -107,7 +108,7 @@ func (g *Gateway) sweepBreakers(live []*backend) {
 	g.ctlMu.Unlock()
 
 	for _, p := range broadcast {
-		g.breakerBroadcasts.Inc()
+		atomic.AddUint64(&g.metrics.BreakerBroadcasts, 1)
 		for _, b := range live {
 			if _, has := openOn[p][b]; has {
 				continue // this backend's own trip started the broadcast
@@ -182,7 +183,7 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 				g.logf("gateway: degrade broadcast %s to %s: %v", p, b.addr, err)
 				continue
 			}
-			g.degradeBroadcasts.Inc()
+			atomic.AddUint64(&g.metrics.DegradeBroadcasts, 1)
 			g.ctlMu.Lock()
 			if g.markedOn[p] == nil {
 				g.markedOn[p] = make(map[*backend]struct{})

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"oak/internal/client"
 	"oak/internal/core"
@@ -50,7 +51,7 @@ func (g *Gateway) forwardWithFailover(ctx context.Context, i int, path, contentT
 	if fallback == nil {
 		return nil, primary, err
 	}
-	g.failovers.Inc()
+	atomic.AddUint64(&g.metrics.Failovers, 1)
 	g.logf("gateway: failover %s -> %s: %v", primary.addr, fallback.addr, err)
 	res, ferr := g.forwardTo(ctx, fallback, path, contentType, body, cookies)
 	if ferr != nil {
@@ -157,7 +158,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	g.forwardedReports.Inc()
+	atomic.AddUint64(&g.metrics.ForwardedReports, 1)
 	mirror(w, res)
 }
 
@@ -308,7 +309,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 		http.Error(w, "no backend reachable", http.StatusBadGateway)
 		return
 	}
-	g.forwardedReports.Inc()
+	atomic.AddUint64(&g.metrics.ForwardedReports, 1)
 	if retryAfter > 0 {
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	}
@@ -361,7 +362,7 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 	primary, fallback := g.route(i)
 	resp, err := g.proxyPage(ctx, primary, r, ck)
 	if err != nil && fallback != nil {
-		g.failovers.Inc()
+		atomic.AddUint64(&g.metrics.Failovers, 1)
 		g.logf("gateway: page failover %s -> %s: %v", primary.addr, fallback.addr, err)
 		resp, err = g.proxyPage(ctx, fallback, r, ck)
 	}
@@ -369,7 +370,7 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
-	g.forwardedPages.Inc()
+	atomic.AddUint64(&g.metrics.ForwardedPages, 1)
 	for _, h := range mirrorHeaders {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)

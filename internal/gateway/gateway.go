@@ -34,7 +34,6 @@ import (
 
 	"oak/internal/client"
 	"oak/internal/core"
-	"oak/internal/obs"
 	"oak/internal/origin"
 )
 
@@ -140,6 +139,10 @@ func (b *backend) snapshotState() (state BackendState, fails int, lastErr string
 // Gateway fronts a fleet of oakd backends. Create with NewGateway, start
 // the background loops with Start, and serve it as an http.Handler.
 type Gateway struct {
+	// metrics holds the gateway's counters, updated with sync/atomic; it
+	// is first so they are 64-bit aligned on every platform.
+	metrics GatewayMetrics
+
 	cfg      Config
 	ranges   []core.HashRange
 	backends []*backend
@@ -157,15 +160,6 @@ type Gateway struct {
 	ctlMu        sync.Mutex
 	seenBreakers map[string]struct{}
 	markedOn     map[string]map[*backend]struct{}
-
-	// Counters for the cluster metrics endpoint.
-	forwardedReports  obs.Counter
-	forwardedPages    obs.Counter
-	failovers         obs.Counter
-	probeCycles       obs.Counter
-	breakerBroadcasts obs.Counter
-	degradeBroadcasts obs.Counter
-	replacements      obs.Counter
 
 	stopOnce sync.Once
 	stop     chan struct{}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"oak/internal/origin"
@@ -86,7 +87,7 @@ func (g *Gateway) ProbeOnce() {
 			g.logf("gateway: backend %s %s -> %s (%v)", b.addr, old, now, err)
 		}
 	}
-	g.probeCycles.Inc()
+	atomic.AddUint64(&g.metrics.ProbeCycles, 1)
 }
 
 // Drain pins backend i at draining: it stops taking traffic but keeps

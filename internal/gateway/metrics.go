@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oak/internal/core"
+	"oak/internal/obs"
 	"oak/internal/origin"
 )
 
@@ -54,7 +55,8 @@ type ClusterHealthResponse struct {
 	DegradedProviders []string `json:"degraded_providers,omitempty"`
 }
 
-// GatewayMetrics are the gateway's own counters.
+// GatewayMetrics are the gateway's own counters. The gateway stores one
+// GatewayMetrics and updates its uint64 fields with sync/atomic.
 type GatewayMetrics struct {
 	UptimeSeconds     float64 `json:"uptime_seconds"`
 	ForwardedReports  uint64  `json:"forwarded_reports"`
@@ -204,7 +206,7 @@ func (g *Gateway) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, g.clusterHealth(false))
+	origin.WriteJSON(w, g.clusterHealth(false))
 }
 
 // handleCluster serves the detailed fleet view (per-backend healthz bodies
@@ -214,7 +216,7 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	writeJSON(w, g.clusterHealth(true))
+	origin.WriteJSON(w, g.clusterHealth(true))
 }
 
 // handleClusterMetrics serves the gateway's counters plus every live
@@ -224,18 +226,8 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
-	resp := ClusterMetricsResponse{
-		Gateway: GatewayMetrics{
-			UptimeSeconds:     time.Since(g.started).Seconds(),
-			ForwardedReports:  g.forwardedReports.Value(),
-			ForwardedPages:    g.forwardedPages.Value(),
-			Failovers:         g.failovers.Value(),
-			ProbeCycles:       g.probeCycles.Value(),
-			BreakerBroadcasts: g.breakerBroadcasts.Value(),
-			DegradeBroadcasts: g.degradeBroadcasts.Value(),
-			Replacements:      g.replacements.Value(),
-		},
-	}
+	resp := ClusterMetricsResponse{Gateway: obs.LoadCounters(&g.metrics)}
+	resp.Gateway.UptimeSeconds = time.Since(g.started).Seconds()
 	for i, b := range g.backends {
 		rng := g.ranges[i]
 		resp.Backends = append(resp.Backends, g.backendMetrics(b, &rng))
@@ -244,14 +236,5 @@ func (g *Gateway) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		bm := g.backendMetrics(g.standby, nil)
 		resp.Standby = &bm
 	}
-	writeJSON(w, resp)
-}
-
-// writeJSON encodes v as indented JSON (mirrors the origin's encoding, so
-// fleet and node responses render alike).
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	origin.WriteJSON(w, resp)
 }

@@ -297,7 +297,7 @@ func TestNodeLossChaos(t *testing.T) {
 	for i := 0; i < reportBudget && !tripped; i++ {
 		load(arcUsers[0][i%len(arcUsers[0])], seed)
 		seed++
-		tripped = len(nodes[0].engine.OpenBreakers()) > 0
+		tripped = len(nodes[0].engine.Status().Guard.Quarantines) > 0
 	}
 	if !tripped {
 		t.Fatalf("phase 4: breaker never tripped on backend 0 within %d reports", reportBudget)
@@ -313,7 +313,7 @@ func TestNodeLossChaos(t *testing.T) {
 	}
 	quarantined := 0
 	for name, e := range liveEngines {
-		open := e.OpenBreakers()
+		open := e.Status().Guard.Quarantines
 		if len(open) == 1 && open[0] == "s2.net" {
 			quarantined++
 		} else {

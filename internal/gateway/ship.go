@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync/atomic"
 	"time"
 
 	"oak/internal/core"
@@ -159,7 +160,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	b.lastErr = ""
 	b.healthz = nil
 	b.mu.Unlock()
-	g.replacements.Inc()
+	atomic.AddUint64(&g.metrics.Replacements, 1)
 	g.logf("gateway: replaced backend %d: %s -> %s", i, old, addr)
 	return nil
 }

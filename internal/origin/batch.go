@@ -217,7 +217,7 @@ func (s *Server) finishBatch(w http.ResponseWriter, r *http.Request, res core.Ba
 		_ = enc.Encode(res)
 		return
 	}
-	writeJSON(w, res)
+	WriteJSON(w, res)
 }
 
 // countingReader counts bytes read through it, so the batch handler can

@@ -116,7 +116,7 @@ func saturatedServer(t *testing.T) (*Server, func()) {
 	go func() { _, _ = engine.HandleReport(blocker) }()
 	<-entered
 	go func() { _, _ = engine.HandleReport(filler) }()
-	waitFor(t, func() bool { depth, _ := engine.IngestQueue(); return depth == 2 })
+	waitFor(t, func() bool { depth := engine.Status().IngestQueue.Depth; return depth == 2 })
 
 	return NewServer(engine), doRelease
 }
@@ -190,7 +190,7 @@ func TestHealthzDegradedWhileSaturated(t *testing.T) {
 		t.Errorf("healthz while saturated = %q, want degraded", got)
 	}
 	release()
-	waitFor(t, func() bool { depth, _ := s.Engine().IngestQueue(); return depth == 0 })
+	waitFor(t, func() bool { return s.Engine().Status().IngestQueue.Depth == 0 })
 	if got := get(); got != "ok" {
 		t.Errorf("healthz after drain = %q, want ok", got)
 	}

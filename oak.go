@@ -220,9 +220,14 @@ type TraceEvent = obs.Event
 // histogram; Quantile/Mean/Summary extract percentiles.
 type LatencySnapshot = obs.Snapshot
 
-// EngineLatencies pairs the engine's ingest and rewrite histograms,
-// returned by Engine.Latencies and served at MetricsPath.
+// EngineLatencies pairs the engine's ingest and rewrite histograms: the
+// Latencies of Engine.Status, served at MetricsPath.
 type EngineLatencies = core.LatencySnapshots
+
+// EngineStatus is one read of everything the engine reports about itself
+// (counters, latencies, ingest queue, rewrite cache, state source, and the
+// guard, population and spill sections), returned by Engine.Status.
+type EngineStatus = core.Status
 
 // AuditReport is the operator-facing summary of what Oak has learned —
 // the paper's "offline auditing tool". Engine.Audit() builds one; the
@@ -388,8 +393,9 @@ type ResidencyConfig = core.ResidencyConfig
 func WithProfileResidency(cfg ResidencyConfig) EngineOption { return core.WithProfileResidency(cfg) }
 
 // SpillStatus is the spill tier's externally visible state (residency
-// counts, segment footprint, quarantined segments, counters), returned by
-// Engine.SpillStatus and served under "spill" in /oak/v1/metrics.
+// counts, segment footprint, quarantined segments, counters, rehydration
+// latency), returned by Engine.SpillStatus and served under "spill" in
+// /oak/v1/metrics.
 type SpillStatus = core.SpillStatus
 
 // GuardConfig enables and tunes the engine's population-level guardrails:
@@ -410,7 +416,7 @@ type GuardConfig = core.GuardConfig
 func WithGuard(cfg GuardConfig) EngineOption { return core.WithGuard(cfg) }
 
 // GuardStatus is the guard's externally visible state (breakers, quarantined
-// providers and rules, canary counts), returned by Engine.GuardStatus and
+// providers and rules, canary counts): the Guard section of Engine.Status,
 // served under "guard" in /oak/metrics.
 type GuardStatus = core.GuardStatus
 
@@ -451,7 +457,7 @@ func WithSynthesis(cfg SynthesisConfig) EngineOption { return core.WithSynthesis
 
 // PopulationStatus is the population layer's externally visible state
 // (degraded providers, per-provider baseline quantiles, top providers,
-// synthesis counters), returned by Engine.PopulationStatus and served at
+// synthesis counters): the Population section of Engine.Status, served at
 // PopulationPathV1.
 type PopulationStatus = core.PopulationStatus
 
