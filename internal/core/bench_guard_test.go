@@ -7,7 +7,8 @@ import (
 	"oak/internal/rules"
 )
 
-// Guard benchmarks: the numbers behind BENCH_guard.json (make bench-guard).
+// Guard benchmarks; perfbench's core.ingest_guard_ratio carries the on/off
+// ratio end to end.
 //
 // Two questions matter for the guardrail design:
 //

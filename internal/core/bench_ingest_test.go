@@ -10,8 +10,8 @@ import (
 	"oak/internal/rules"
 )
 
-// Ingest benchmarks: the numbers behind BENCH_ingest.json (make bench).
-// BenchmarkHandleReportParallel vs BenchmarkHandleReportParallelSingleShard
+// Ingest benchmarks; perfbench's core.ingest_us and core.ingest_allocs
+// carry the end-to-end numbers. BenchmarkHandleReportParallel vs BenchmarkHandleReportParallelSingleShard
 // is the sharding payoff — the single-shard engine reproduces the old
 // one-global-lock design, so the ratio of their reports/sec is the
 // parallel-ingest speedup on the machine at hand.
@@ -113,7 +113,8 @@ func BenchmarkHandleReportPipeline(b *testing.B) {
 
 // benchWire marshals the bench corpus with the given encoder and measures
 // decode+handle end to end, reporting the mean payload size as wire_bytes so
-// the JSON and OAKRPT1 rows in BENCH_ingest.json compare both CPU and bytes.
+// the JSON and OAKRPT1 rows compare both CPU and bytes (perfbench:
+// report.wire_bytes_json and report.wire_bytes_binary).
 func benchWire(b *testing.B, marshal func(*report.Report) ([]byte, error), decode func([]byte) (*report.Report, error)) {
 	e := benchEngine(b)
 	reports := benchReports("wire")

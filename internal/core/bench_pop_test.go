@@ -5,8 +5,8 @@ import (
 	"time"
 )
 
-// Population-ingest benchmarks: the numbers behind BENCH_synth.json (make
-// bench-synth). SynthOff is the pre-population baseline; SynthOn adds the
+// Population-ingest benchmarks; perfbench's core.ingest_synth_ratio carries
+// the on/off ratio end to end. SynthOff is the pre-population baseline; SynthOn adds the
 // per-report sketch feed plus the amortised window tick. The acceptance
 // bar for the population layer is SynthOn within 5% of SynthOff.
 

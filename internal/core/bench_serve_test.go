@@ -11,8 +11,9 @@ import (
 
 // Serve-path benchmarks: cold (every request recomputes the rewrite), warm
 // (rewrite cache hit), no-op (user with no activations — must not
-// allocate), and parallel warm serving. scripts/bench_serve.sh turns these
-// into BENCH_serve.json.
+// allocate), and parallel warm serving. perfbench's core.rewrite_miss_us,
+// core.rewrite_hit_us and core.rewrite_allocs carry these numbers end to
+// end.
 
 // benchServeRules builds n Type 2/1 rules over distinct third-party blocks.
 func benchServeRules(n int) []*rules.Rule {

@@ -1,12 +1,14 @@
 package gateway_test
 
-// Gateway overhead benchmarks, driven by scripts/bench_gateway.sh into
-// BENCH_gateway.json:
+// Gateway overhead benchmarks. perfbench carries the end-to-end numbers
+// (gateway.report_us, gateway.page_us and gateway.*_overhead_ratio on the
+// cluster workload); these are the in-process microbenchmarks:
 //
 //   - BenchmarkReportDirect / BenchmarkReportViaGateway: the same report
 //     POSTed straight at one oakd versus through the gateway's warm path
-//     (healthy owner backend, no failover). Their ratio is the forwarding
-//     overhead the cluster tier costs, gated at <= 1.25x.
+//     (healthy owner backend, no failover).
+//   - BenchmarkBatchDirect / BenchmarkBatchViaGateway: the batch path;
+//     the bar for their ratio, the forwarding overhead, is <= 1.25x.
 //   - BenchmarkPageDirect / BenchmarkPageViaGateway: the page-serve
 //     equivalents.
 //   - BenchmarkReportFailover: the steady-state rerouted path — primary

@@ -18,8 +18,8 @@
 # verify by name. The
 # guard chaos smoke re-runs the kill-the-alternate scenario on its own so a
 # breaker regression fails the verify with a named step; one-iteration guard
-# and synthesis benchmark runs keep BENCH_guard.json and BENCH_synth.json
-# producible. Finally, a compact scenario smoke runs four checked-in
+# and synthesis benchmark runs keep those Go benchmarks compiling and
+# running (perfbench carries the end-to-end numbers). Finally, a compact scenario smoke runs four checked-in
 # end-to-end workloads (cellular, blackout, slowloris, popslow) against
 # injected ground truth and gates on the precision/recall/trip floors in
 # each spec's expect block — popslow additionally requires at least one
@@ -33,7 +33,7 @@
 # mid-spill (torn segment tail) and hole-punches a sealed segment under a
 # live engine, requiring recovery with no acknowledged state lost and
 # byte-identical exports across residency layouts; a one-iteration memory
-# benchmark run keeps BENCH_memory.json producible.
+# benchmark run keeps the spill-tier Go benchmarks compiling and running.
 set -e
 cd "$(dirname "$0")/.."
 
