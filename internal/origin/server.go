@@ -95,6 +95,12 @@ type Server struct {
 	maxBodyBytes  int64
 	rewriteBudget time.Duration
 
+	// guardOn and populationOn record whether the engine was built with a
+	// guard and with population detection. Subsystems are fixed when the
+	// engine is built, so the admin verbs check these instead of taking a
+	// status snapshot per request.
+	guardOn, populationOn bool
+
 	// pagesDegraded counts page deliveries that hit the rewrite budget and
 	// were served unmodified.
 	pagesDegraded obs.Counter
@@ -156,8 +162,11 @@ func WithPagesFrom(fsys fs.FS) Option {
 // NewServer wraps an engine. The zero-option form serves an empty page
 // registry (populate it with SetPage or LoadPages) with default limits.
 func NewServer(engine *core.Engine, opts ...Option) *Server {
+	st := engine.Status()
 	s := &Server{
 		engine:        engine,
+		guardOn:       st.Guard != nil,
+		populationOn:  st.Population != nil,
 		started:       time.Now(),
 		pages:         make(map[string]string),
 		maxBodyBytes:  maxReportBytes,
