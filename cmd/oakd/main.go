@@ -230,11 +230,11 @@ func pprofMux() *http.ServeMux {
 	return mux
 }
 
-// loadState restores engine state via the crash-safe read path: a missing
-// file is a fresh deployment, a corrupt or version-skewed primary falls
-// back to the rotating .bak (one save interval of learning lost, not all
-// of it), and only a deployment with neither readable is an error-free
-// fresh start. Boot never aborts over a bad state file.
+// loadState restores engine state via the crash-safe read path: no state
+// file and no backup is a fresh deployment, and a missing, corrupt or
+// version-skewed primary falls back to the rotating .bak (one save interval
+// of learning lost, not all of it). Boot fails when neither file is usable:
+// silently starting empty would discard all learning unseen.
 func loadState(engine *oak.Engine, path string) error {
 	src, err := engine.LoadStateFile(path)
 	if err != nil {

@@ -7,10 +7,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"oak/internal/guard"
-	"oak/internal/rules"
 )
 
 // State persistence: an Oak deployment restarts without losing what it has
@@ -267,26 +267,50 @@ func snapshotProfile(prof *Profile) persistedProfile {
 // any profile is touched — and incompatible format versions with
 // ErrStateVersion.
 func (e *Engine) ImportState(data []byte) error {
-	return e.importState(data, false)
+	return e.importState(data, HashRange{}, importReplace)
 }
 
-// importState is ImportState with the spill-tier merge policy as a knob.
-// Authoritative (preserveNewerSpill false): every existing spill record is
-// dropped — the payload is the complete truth, as a node replacement or an
-// operator restore demands. Newer-wins (true, the LoadStateFile boot path):
-// a spill record with a last-report strictly after the payload's copy of
-// that user survives the import, and spilled users absent from the payload
-// survive too — that is what makes a crash between spill-fsync and the next
-// SaveStateFile lose nothing that was acknowledged.
-//
-// On engines with a residency cap the import ends by re-enforcing the cap,
-// so restoring a huge snapshot immediately evicts back under it.
-func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
+// importMode is how an import reconciles its payload with the state the
+// engine already holds. Every mode replaces the resident profiles inside
+// the imported arc; the modes differ on spill records and on the
+// engine-global guard and population sections.
+type importMode int
+
+const (
+	// importReplace (ImportState, ImportShippedState): the payload is the
+	// complete truth, as a node replacement or an operator restore demands.
+	// Every spill record is dropped; the guard and population sections are
+	// replaced, and a nil section imports as empty state.
+	importReplace importMode = iota
+	// importBoot (LoadStateFile): importReplace, except that a spill record
+	// whose last report is strictly after the payload's copy of that user
+	// survives, and so do spilled users the payload lacks. That is what
+	// makes a crash between spill-fsync and the next SaveStateFile lose
+	// nothing that was acknowledged.
+	importBoot
+	// importSplice (ImportStateRange): the payload is authoritative inside
+	// its arc only, and the guard and population sections are replaced only
+	// when the payload carries them — a range donated by a peer updates this
+	// node's protective state, while a stripped payload tops up profiles
+	// without clobbering it.
+	importSplice
+)
+
+// importState installs a payload's profiles for the arc r (the whole ring
+// for every mode but importSplice) under mode's policy; profiles and spill
+// records outside r are untouched. The payload is decoded and converted
+// off-lock, so damaged input fails before any state is touched. The swap
+// then holds every shard lock at once: no reader sees a half-imported
+// state, and profiles become visible together with the guard and
+// population state of the same snapshot. On engines with a residency cap
+// the import ends by re-enforcing the cap, so restoring a large snapshot
+// evicts back under it.
+func (e *Engine) importState(data []byte, r HashRange, mode importMode) error {
 	st, err := decodeState(data)
 	if err != nil {
 		return err
 	}
-	fresh, freshIdx, err := e.buildImport(st, HashRange{})
+	fresh, err := e.buildImport(st, r)
 	if err != nil {
 		return err
 	}
@@ -296,38 +320,57 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 	}
 	spilledLive := int64(0)
 	for i, sh := range e.shards {
+		// Evict the arc's resident profiles and their provider-index entries.
+		for uid, prof := range sh.profiles {
+			if r.Contains(userHash(uid)) {
+				delete(sh.profiles, uid)
+				if e.spill != nil {
+					sh.residentBytes.Add(-int64(prof.sizeEst))
+				}
+			}
+		}
+		for host, users := range sh.provIndex {
+			for uid := range users {
+				if r.Contains(userHash(uid)) {
+					delete(users, uid)
+				}
+			}
+			if len(users) == 0 {
+				delete(sh.provIndex, host)
+			}
+		}
 		if sh.spilled != nil {
-			e.mergeSpillLocked(sh, fresh[i], freshIdx[i], preserveNewerSpill, HashRange{})
+			e.mergeSpillLocked(sh, fresh[i], mode == importBoot, r)
 			spilledLive += int64(len(sh.spilled))
 		}
-		sh.profiles = fresh[i]
-		sh.provIndex = freshIdx[i]
-		sh.users.Set(int64(len(fresh[i])))
-		if e.spill != nil {
-			bytes := int64(0)
-			for _, prof := range fresh[i] {
-				bytes += int64(prof.sizeEst)
+		for uid, prof := range fresh[i] {
+			sh.profiles[uid] = prof
+			for rid, a := range prof.active {
+				e.indexActivation(sh, uid, rid, a.AltIndex)
 			}
-			sh.residentBytes.Store(bytes)
+			if e.spill != nil {
+				sh.residentBytes.Add(int64(prof.sizeEst))
+			}
 		}
+		sh.users.Set(int64(len(sh.profiles)))
 	}
 	if e.spill != nil {
 		e.spill.spilledUsers.Set(spilledLive)
 	}
-	if e.guard != nil {
-		// Inside the all-locks window, so profiles and breaker states from
-		// the same snapshot become visible together. st.Guard is nil for
-		// pre-guard and legacy snapshots — that imports as empty guard state.
+	// st.Guard and st.Population are nil for snapshots written before the
+	// subsystem existed (or by engines without it): empty state for a
+	// whole-truth import, no news for a splice.
+	if e.guard != nil && (mode != importSplice || st.Guard != nil) {
 		e.guard.Import(st.Guard)
 	}
-	// Same discipline for the population section: nil (pre-synthesis or
-	// legacy snapshots) imports as empty population state.
-	e.importPop(st.Population)
+	if mode != importSplice || st.Population != nil {
+		e.importPop(st.Population)
+	}
 	for _, sh := range e.shards {
 		sh.mu.Unlock()
 	}
-	// A restored population can exceed the residency cap; evict back under
-	// it (outside the all-locks window — eviction takes one shard at a time).
+	// Evict back under the residency cap outside the all-locks window —
+	// eviction takes one shard at a time.
 	if e.spill != nil {
 		for _, sh := range e.shards {
 			e.enforceResidency(sh, "")
@@ -340,10 +383,9 @@ func (e *Engine) importState(data []byte, preserveNewerSpill bool) error {
 // import limited to r (whole ring for full imports). Authoritative mode
 // drops every in-range spill record; newer-wins mode keeps records that are
 // strictly newer than the payload's copy of the same user (removing that
-// user from the incoming maps) and records for in-range users the payload
-// does not carry. Caller holds every shard lock (import's all-locks window).
-func (e *Engine) mergeSpillLocked(sh *shard, fresh map[string]*Profile,
-	freshIdx map[string]map[string]map[string]struct{}, preserveNewer bool, r HashRange) {
+// user from fresh) and records for in-range users the payload does not
+// carry. Caller holds every shard lock (import's all-locks window).
+func (e *Engine) mergeSpillLocked(sh *shard, fresh map[string]*Profile, preserveNewer bool, r HashRange) {
 	for uid, ref := range sh.spilled {
 		if !r.Contains(userHash(uid)) {
 			continue // outside the imported arc: untouched
@@ -357,12 +399,6 @@ func (e *Engine) mergeSpillLocked(sh *shard, fresh map[string]*Profile,
 				// The spill record post-dates the snapshot: the record wins
 				// and the payload's stale copy is discarded.
 				delete(fresh, uid)
-				for host, users := range freshIdx {
-					delete(users, uid)
-					if len(users) == 0 {
-						delete(freshIdx, host)
-					}
-				}
 				continue
 			}
 		}
@@ -391,87 +427,72 @@ func decodeState(data []byte) (*persistedState, error) {
 	return &st, nil
 }
 
-// buildImport constructs, off-lock, the per-shard profile maps (and, on
-// guard-enabled engines, the provider→activations indexes) for the
-// payload's profiles. Every profile must hash into want — a payload profile
+// buildImport converts, off-lock, the payload's profiles into per-shard
+// profile maps. Every profile must hash into want — a payload profile
 // outside the declared range means the file does not match what it claims
-// to contain, which is a form of corruption. Activations of rules absent
-// from the current rule set and activations that expired while in transit
-// are dropped.
-func (e *Engine) buildImport(st *persistedState, want HashRange) (fresh []map[string]*Profile, freshIdx []map[string]map[string]map[string]struct{}, err error) {
-	now := e.now()
-
-	ruleSet := e.ruleSnapshot()
-	byID := make(map[string]*rules.Rule, len(ruleSet))
-	for _, r := range ruleSet {
-		byID[r.ID] = r
-	}
-
-	fresh = make([]map[string]*Profile, len(e.shards))
-	freshIdx = make([]map[string]map[string]map[string]struct{}, len(e.shards))
+// to contain, which is a form of corruption.
+func (e *Engine) buildImport(st *persistedState, want HashRange) ([]map[string]*Profile, error) {
+	fresh := make([]map[string]*Profile, len(e.shards))
 	for i := range fresh {
 		fresh[i] = make(map[string]*Profile)
 	}
-	for _, pp := range st.Profiles {
+	for i := range st.Profiles {
+		pp := &st.Profiles[i]
 		if pp.UserID == "" {
-			return nil, nil, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
+			return nil, fmt.Errorf("%w: state has profile without user id", ErrCorruptState)
 		}
 		if !want.Contains(userHash(pp.UserID)) {
-			return nil, nil, fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
+			return nil, fmt.Errorf("%w: profile %q hashes to %08x, outside range %v",
 				ErrCorruptState, pp.UserID, userHash(pp.UserID), want)
 		}
-		si := e.shardIndex(pp.UserID)
-		prof := newProfile(pp.UserID)
-		prof.lastReport = pp.LastReport
-		for srv, n := range pp.Violations {
-			if n > 0 {
-				prof.violations[srv] = n
-			}
-		}
-		for _, pa := range pp.Active {
-			rule, ok := byID[pa.RuleID]
-			if !ok {
-				continue // rule removed since export
-			}
-			if !pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt) {
-				continue // lapsed while the engine was down
-			}
-			prof.active[pa.RuleID] = &ActiveRule{
-				Rule:            rule,
-				AltIndex:        pa.AltIndex,
-				ActivatedAt:     pa.ActivatedAt,
-				ExpiresAt:       pa.ExpiresAt,
-				TriggerServer:   pa.TriggerServer,
-				TriggerDistance: pa.TriggerDistance,
-				Activations:     pa.Activations,
-				Synthesized:     pa.Synthesized,
-			}
-			// Arm lazy expiry so an imported TTL'd activation lapses on the
-			// serve path just like a live-activated one.
-			prof.noteExpiry(pa.ExpiresAt)
-			if e.guard != nil {
-				for _, h := range e.altHostsFor(pa.RuleID, pa.AltIndex) {
-					idx := freshIdx[si]
-					if idx == nil {
-						idx = make(map[string]map[string]map[string]struct{})
-						freshIdx[si] = idx
-					}
-					users := idx[h]
-					if users == nil {
-						users = make(map[string]map[string]struct{})
-						idx[h] = users
-					}
-					set := users[pp.UserID]
-					if set == nil {
-						set = make(map[string]struct{})
-						users[pp.UserID] = set
-					}
-					set[pa.RuleID] = struct{}{}
-				}
-			}
-		}
-		prof.sizeEst = prof.estimateSize()
-		fresh[si][pp.UserID] = prof
+		fresh[e.shardIndex(pp.UserID)][pp.UserID] = e.profileFromRecord(pp, false)
 	}
-	return fresh, freshIdx, nil
+	return fresh, nil
+}
+
+// profileFromRecord converts a persisted profile — a snapshot entry or a
+// spill record — into a live profile under the current rule set. It drops
+// activations of rules no longer configured and activations that expired
+// while persisted. dropBarred (the rehydrate path) also drops activations
+// the guard now bars, counting each as a bulk deactivation: their provider
+// was quarantined while the user was spilled, out of reach of the trip's
+// bulk rollback. The caller indexes the activations under the shard lock.
+func (e *Engine) profileFromRecord(pp *persistedProfile, dropBarred bool) *Profile {
+	now := e.now()
+	byID := *e.rulesByID.Load()
+	prof := newProfile(pp.UserID)
+	prof.lastReport = pp.LastReport
+	for srv, n := range pp.Violations {
+		if n > 0 {
+			prof.violations[srv] = n
+		}
+	}
+	for _, pa := range pp.Active {
+		rule, ok := byID[pa.RuleID]
+		if !ok {
+			continue // rule removed since the record was written
+		}
+		if !pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt) {
+			continue // lapsed while persisted
+		}
+		if dropBarred && e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
+			atomic.AddUint64(&e.metrics.BulkDeactivations, 1)
+			continue
+		}
+		prof.active[pa.RuleID] = &ActiveRule{
+			Rule:            rule,
+			AltIndex:        pa.AltIndex,
+			ActivatedAt:     pa.ActivatedAt,
+			ExpiresAt:       pa.ExpiresAt,
+			TriggerServer:   pa.TriggerServer,
+			TriggerDistance: pa.TriggerDistance,
+			Activations:     pa.Activations,
+			Synthesized:     pa.Synthesized,
+		}
+		// Arm lazy expiry so a restored TTL'd activation lapses on the
+		// serve path just like a live-activated one.
+		prof.noteExpiry(pa.ExpiresAt)
+	}
+	prof.sizeEst = prof.estimateSize()
+	return prof
 }

@@ -118,8 +118,9 @@ func TestImportStateFailureLeavesStateUntouched(t *testing.T) {
 	}
 }
 
-// FuzzImportState asserts ImportState never panics and never half-imports:
-// on any input it either succeeds or leaves the engine exactly as it was.
+// FuzzImportState asserts imports never panic and never half-import: on
+// any input ImportState (whole-truth mode) and ImportStateRange (splice
+// mode) each either succeed or leave the engine exactly as it was.
 func FuzzImportState(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte(`{"version":1,"profiles":[{"userId":"u"}]}`))
@@ -130,20 +131,30 @@ func FuzzImportState(f *testing.F) {
 	if seed, err := e.ExportSnapshot(); err == nil {
 		f.Add(seed)
 	}
+	arc := EqualRanges(2)[0]
+	imports := []struct {
+		name string
+		run  func(e *Engine, data []byte) error
+	}{
+		{"ImportState", (*Engine).ImportState},
+		{"ImportStateRange", func(e *Engine, data []byte) error { return e.ImportStateRange(arc, data) }},
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		e, _ := NewEngine([]*rules.Rule{jqRule(0)})
-		if _, err := e.HandleReport(slowS1Report("sentinel")); err != nil {
-			t.Fatal(err)
-		}
-		if err := e.ImportState(data); err != nil {
-			if e.Users() != 1 {
-				t.Fatalf("failed import mutated state: Users = %d", e.Users())
+		for _, imp := range imports {
+			e, _ := NewEngine([]*rules.Rule{jqRule(0)})
+			if _, err := e.HandleReport(slowS1Report("sentinel")); err != nil {
+				t.Fatal(err)
 			}
-			return
-		}
-		// Successful imports must re-export cleanly.
-		if _, err := e.ExportSnapshot(); err != nil {
-			t.Fatalf("re-export after import: %v", err)
+			if err := imp.run(e, data); err != nil {
+				if e.Users() != 1 {
+					t.Fatalf("failed %s mutated state: Users = %d", imp.name, e.Users())
+				}
+				continue
+			}
+			// Successful imports must re-export cleanly.
+			if _, err := e.ExportSnapshot(); err != nil {
+				t.Fatalf("re-export after %s: %v", imp.name, err)
+			}
 		}
 	})
 }

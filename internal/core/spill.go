@@ -730,62 +730,17 @@ func (e *Engine) rehydrateLocked(sh *shard, userID string) *Profile {
 		}
 		return nil
 	}
-	prof := e.installRecordLocked(sh, pp)
-	atomic.AddUint64(&e.metrics.Rehydrations, 1)
-	e.rehydrateHist.Observe(time.Since(start))
-	return prof
-}
-
-// installRecordLocked converts a decoded record into a live profile under
-// the current rule set — the same drops an ImportState applies: activations
-// of removed rules, activations that lapsed while spilled, and (new here)
-// activations whose target provider's breaker opened while the user was
-// spilled, which the trip's bulk rollback could not reach. Caller holds
-// sh.mu for writing.
-func (e *Engine) installRecordLocked(sh *shard, pp *persistedProfile) *Profile {
-	now := e.now()
-	prof := newProfile(pp.UserID)
-	prof.lastReport = pp.LastReport
-	for srv, n := range pp.Violations {
-		if n > 0 {
-			prof.violations[srv] = n
-		}
+	// dropBarred: the guard may have quarantined a provider while the user
+	// was spilled, out of reach of the trip's bulk rollback.
+	prof := e.profileFromRecord(pp, true)
+	for rid, a := range prof.active {
+		e.indexActivation(sh, pp.UserID, rid, a.AltIndex)
 	}
-	byID := e.rulesByID.Load()
-	for _, pa := range pp.Active {
-		if byID == nil {
-			break
-		}
-		rule, ok := (*byID)[pa.RuleID]
-		if !ok {
-			continue // rule removed while spilled
-		}
-		if !pa.ExpiresAt.IsZero() && now.After(pa.ExpiresAt) {
-			continue // lapsed while spilled
-		}
-		if e.spillActivationBarred(pa.RuleID, pa.AltIndex) {
-			// The provider was quarantined while this user was spilled; the
-			// bulk rollback missed the activation, so it is applied now.
-			atomic.AddUint64(&e.metrics.BulkDeactivations, 1)
-			continue
-		}
-		prof.active[pa.RuleID] = &ActiveRule{
-			Rule:            rule,
-			AltIndex:        pa.AltIndex,
-			ActivatedAt:     pa.ActivatedAt,
-			ExpiresAt:       pa.ExpiresAt,
-			TriggerServer:   pa.TriggerServer,
-			TriggerDistance: pa.TriggerDistance,
-			Activations:     pa.Activations,
-			Synthesized:     pa.Synthesized,
-		}
-		prof.noteExpiry(pa.ExpiresAt)
-		e.indexActivation(sh, pp.UserID, pa.RuleID, pa.AltIndex)
-	}
-	prof.sizeEst = prof.estimateSize()
 	sh.profiles[pp.UserID] = prof
 	sh.users.Add(1)
 	sh.residentBytes.Add(int64(prof.sizeEst))
+	atomic.AddUint64(&e.metrics.Rehydrations, 1)
+	e.rehydrateHist.Observe(time.Since(start))
 	return prof
 }
 

@@ -225,16 +225,16 @@ func TestSpillExportByteIdentity(t *testing.T) {
 		t.Error("ExportSnapshot differs across residency layouts")
 	}
 	for _, r := range EqualRanges(4) {
-		ar, err := capped.ExportStateRange(r)
+		ar, err := capped.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br, err := ref.ExportStateRange(r)
+		br, err := ref.exportStateRange(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(ar, br) {
-			t.Errorf("ExportStateRange(%v) differs across residency layouts", r)
+			t.Errorf("exportStateRange(%v) differs across residency layouts", r)
 		}
 	}
 }
@@ -288,7 +288,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 		}
 	}
 	r := EqualRanges(2)[0]
-	arc, err := src.ExportStateRange(r)
+	arc, err := src.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +325,7 @@ func TestImportStateRangeEvictsBackUnderCap(t *testing.T) {
 	if snap.Violations["ip-s1.com"] != 1 {
 		t.Errorf("stale spilled record survived an authoritative range import: %v", snap.Violations)
 	}
-	got, err := dst.ExportStateRange(r)
+	got, err := dst.exportStateRange(r)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,50 +80,36 @@ func (e *Engine) SaveStateFile(path string) error {
 // metrics — and only fails if the backup is unusable too. The returned
 // StateSource says which file actually populated the engine.
 func (e *Engine) LoadStateFile(path string) (StateSource, error) {
-	bak := path + BackupSuffix
 	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		// No primary. Either a fresh deployment, or a crash landed between
-		// SaveStateFile's rotation and install renames — in which case the
-		// backup holds the last good snapshot.
-		bdata, berr := os.ReadFile(bak)
-		if os.IsNotExist(berr) {
-			e.stateSource.Store(StateFresh)
-			return StateFresh, nil
+	switch {
+	case err == nil:
+		// Boot imports merge newer-wins with recovered spill records: a
+		// profile spilled (and fsynced) after the snapshot was saved survives
+		// the import, so a kill between spill and the next SaveStateFile
+		// loses no acknowledged state. See importBoot.
+		if err = e.importState(data, HashRange{}, importBoot); err == nil {
+			e.stateSource.Store(StateSnapshot)
+			return StateSnapshot, nil
 		}
-		if berr != nil {
-			return "", fmt.Errorf("engine: read state backup: %w", berr)
+		if !errors.Is(err, ErrCorruptState) && !errors.Is(err, ErrStateVersion) {
+			return "", err
 		}
-		if ierr := e.importState(bdata, true); ierr != nil {
-			return "", fmt.Errorf("engine: import state backup: %w", ierr)
-		}
-		atomic.AddUint64(&e.metrics.StateRecoveries, 1)
-		e.stateSource.Store(StateBackup)
-		return StateBackup, nil
-	}
-	if err != nil {
+	case !os.IsNotExist(err):
 		return "", fmt.Errorf("engine: read state: %w", err)
 	}
-	// Boot imports merge newer-wins with recovered spill records: a profile
-	// spilled (and fsynced) after the snapshot was saved survives the
-	// import, so a kill between spill and the next SaveStateFile loses no
-	// acknowledged state. See importState.
-	primaryErr := e.importState(data, true)
-	if primaryErr == nil {
-		e.stateSource.Store(StateSnapshot)
-		return StateSnapshot, nil
+	// The primary is damaged, or missing: a fresh deployment, or a crash
+	// between SaveStateFile's rotation and install renames, in which case
+	// the backup holds the last good snapshot.
+	bdata, berr := os.ReadFile(path + BackupSuffix)
+	if os.IsNotExist(err) && os.IsNotExist(berr) {
+		e.stateSource.Store(StateFresh)
+		return StateFresh, nil
 	}
-	if !errors.Is(primaryErr, ErrCorruptState) && !errors.Is(primaryErr, ErrStateVersion) {
-		return "", primaryErr
+	if berr == nil {
+		berr = e.importState(bdata, HashRange{}, importBoot)
 	}
-	bdata, berr := os.ReadFile(bak)
 	if berr != nil {
-		// No usable backup: surface the original corruption, not the
-		// backup's absence.
-		return "", fmt.Errorf("engine: import state (no backup to recover from): %w", primaryErr)
-	}
-	if ierr := e.importState(bdata, true); ierr != nil {
-		return "", fmt.Errorf("engine: snapshot and backup both unusable: %w (backup: %v)", primaryErr, ierr)
+		return "", fmt.Errorf("engine: no usable state file: primary: %w; backup: %w", err, berr)
 	}
 	atomic.AddUint64(&e.metrics.StateRecoveries, 1)
 	e.stateSource.Store(StateBackup)

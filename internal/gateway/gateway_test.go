@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -35,6 +36,7 @@ type fakeBackend struct {
 	clears      []string
 	stateGot    []byte // body received on POST /oak/v1/state
 	stateServe  []byte // body served on GET /oak/v1/state
+	stateLength int64  // when > 0, GET /oak/v1/state serves this many bytes
 	batchReply  *core.BatchResult
 }
 
@@ -80,7 +82,20 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 				w.WriteHeader(http.StatusNoContent)
 				return
 			}
+			if f.stateLength == 0 {
+				_, _ = w.Write(f.stateServe)
+				return
+			}
+			// Stream stateServe padded with zeros to the declared length,
+			// stopping once the client hangs up.
+			w.Header().Set("Content-Length", strconv.FormatInt(f.stateLength, 10))
 			_, _ = w.Write(f.stateServe)
+			pad := make([]byte, 64<<10)
+			for n := f.stateLength - int64(len(f.stateServe)); n > 0; n -= int64(len(pad)) {
+				if _, err := w.Write(pad[:min(n, int64(len(pad)))]); err != nil {
+					return
+				}
+			}
 		default: // page serve
 			_, _ = fmt.Fprintf(w, "page-from-%s", f.ts.Listener.Addr())
 		}
@@ -403,6 +418,33 @@ func TestReplaceShipsStoredSnapshot(t *testing.T) {
 	rURL, _ := url.Parse(replacement.ts.URL)
 	if !strings.Contains(rec.Body.String(), rURL.Host) {
 		t.Errorf("page served by %q, want replacement %s", rec.Body.String(), rURL.Host)
+	}
+}
+
+// A snapshot declared larger than a node accepts must fail the fetch, not be
+// stored cut short: the last good snapshot stays the one Replace ships.
+func TestShipSnapshotsKeepsLastGoodOverOversizedExport(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	fakes[0].mu.Lock()
+	fakes[0].stateServe = []byte("OAKSNAP2-GOOD")
+	fakes[0].mu.Unlock()
+	gw := newTestGateway(t, fakes, nil)
+	gw.ProbeOnce()
+	gw.ShipSnapshots()
+
+	fakes[0].mu.Lock()
+	fakes[0].stateServe = []byte("OAKSNAP2-HUGE")
+	fakes[0].stateLength = origin.MaxStateBytes + 1
+	fakes[0].mu.Unlock()
+	gw.ShipSnapshots()
+
+	replacement := newFakeBackend(t)
+	if err := gw.Replace(t.Context(), 0, replacement.ts.URL); err != nil {
+		t.Fatal(err)
+	}
+	if got := replacement.snapshot().stateGot; string(got) != "OAKSNAP2-GOOD" {
+		t.Errorf("replacement received %d bytes starting %q, want the last good snapshot",
+			len(got), got[:min(len(got), 16)])
 	}
 }
 

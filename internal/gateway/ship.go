@@ -52,13 +52,21 @@ func (g *Gateway) fetchState(b *backend, rng *core.HashRange) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBytes))
-	_ = resp.Body.Close()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("state export status %d", resp.StatusCode)
+	}
+	// A snapshot over the bound the receiving node accepts fails the fetch
+	// rather than being cut short: ShipSnapshots keeps the last good copy.
+	if resp.ContentLength > origin.MaxStateBytes {
+		return nil, fmt.Errorf("state export of %d bytes exceeds %d", resp.ContentLength, origin.MaxStateBytes)
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, origin.MaxStateBytes+1))
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("state export status %d", resp.StatusCode)
+	if len(data) > origin.MaxStateBytes {
+		return nil, fmt.Errorf("state export exceeds %d bytes", origin.MaxStateBytes)
 	}
 	return data, nil
 }

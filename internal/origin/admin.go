@@ -39,10 +39,11 @@ const (
 	PopulationClearPathV1 = V1Prefix + "/population/clear"
 )
 
-// maxStateBytes bounds POSTed snapshots. State files scale with the user
-// population, so the bound is far above the report bounds — it exists to
-// stop a runaway body, not to police legitimate snapshots.
-const maxStateBytes = 256 << 20
+// MaxStateBytes bounds a shipped snapshot, POSTed to a node or fetched from
+// one. State files scale with the user population, so the bound is far
+// above the report bounds — it exists to stop a runaway body, not to police
+// legitimate snapshots.
+const MaxStateBytes = 256 << 20
 
 // stateRange parses the optional ?lo=&hi= pair into a HashRange. Returns
 // (whole-space range, false, nil) when neither parameter is present; one
@@ -80,13 +81,9 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 	}
 	switch r.Method {
 	case http.MethodGet:
-		var data []byte
-		var eerr error
-		if ranged {
-			data, eerr = s.engine.ExportSnapshotRange(rng)
-		} else {
-			data, eerr = s.engine.ExportSnapshot()
-		}
+		// Without ?lo=&hi= rng is the whole ring, whose export is the
+		// whole snapshot.
+		data, eerr := s.engine.ExportSnapshotRange(rng)
 		if eerr != nil {
 			http.Error(w, eerr.Error(), http.StatusInternalServerError)
 			return
@@ -95,12 +92,12 @@ func (s *Server) handleState(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 		_, _ = w.Write(data)
 	case http.MethodPost:
-		body, rerr := io.ReadAll(io.LimitReader(r.Body, maxStateBytes+1))
+		body, rerr := io.ReadAll(io.LimitReader(r.Body, MaxStateBytes+1))
 		if rerr != nil {
 			http.Error(w, "read body", http.StatusBadRequest)
 			return
 		}
-		if len(body) > maxStateBytes {
+		if len(body) > MaxStateBytes {
 			http.Error(w, "snapshot too large", http.StatusRequestEntityTooLarge)
 			return
 		}
