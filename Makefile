@@ -9,7 +9,7 @@ test:
 	go test ./...
 
 race:
-	go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway
+	go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway ./internal/client ./cmd/oakgw
 
 # Chaos suite: the full client -> origin -> engine -> persistence loop under
 # injected transport faults, queue saturation and snapshot corruption, with

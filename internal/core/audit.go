@@ -39,10 +39,13 @@ type AuditServerEntry struct {
 // Audit is an operator-facing summary of everything Oak has learned.
 type Audit struct {
 	GeneratedAt time.Time
-	Users       int
-	Metrics     Metrics
-	Rules       []AuditEntry
-	// WorstServers lists servers by violation footprint, descending.
+	// Users counts every profile, resident and spilled (Engine.Users).
+	Users   int
+	Metrics Metrics
+	Rules   []AuditEntry
+	// WorstServers lists servers by violation footprint, descending. It
+	// walks resident profiles only: with a spill tier, spilled users'
+	// violations are missing from it though Users counts those users.
 	WorstServers []AuditServerEntry
 }
 

@@ -17,6 +17,10 @@ import (
 // merge the stripes; a user lands in exactly one stripe, so merged counts
 // are exact, though a read concurrent with writes is weakly consistent
 // across stripes.
+//
+// The ledger keeps every distinct user that ever reported (RecordUser) for
+// the life of the process: PruneProfiles does not prune it, snapshots do
+// not persist it, and the residency cap does not bound it.
 type Ledger struct {
 	stripes []ledgerStripe
 }

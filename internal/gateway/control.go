@@ -2,9 +2,7 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sync/atomic"
@@ -39,19 +37,12 @@ import (
 func (g *Gateway) postControl(b *backend, path, provider string) error {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
 	defer cancel()
-	u := b.addr + path + "?provider=" + url.QueryEscape(provider)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, nil)
+	res, err := g.call(ctx, b.address(), http.MethodPost, path+"?provider="+url.QueryEscape(provider), "", nil, nil, maxReplyBytes)
 	if err != nil {
 		return err
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	_ = resp.Body.Close()
-	if resp.StatusCode >= 400 && resp.StatusCode != http.StatusNotFound {
-		return fmt.Errorf("control %s status %d", path, resp.StatusCode)
+	if res.Status >= 400 && res.Status != http.StatusNotFound {
+		return fmt.Errorf("control %s status %d", path, res.Status)
 	}
 	return nil
 }
@@ -114,37 +105,12 @@ func (g *Gateway) sweepBreakers(live []*backend) {
 				continue // this backend's own trip started the broadcast
 			}
 			if err := g.postControl(b, origin.GuardQuarantinePathV1, p); err != nil {
-				g.logf("gateway: breaker broadcast %s to %s: %v", p, b.addr, err)
+				g.logf("gateway: breaker broadcast %s to %s: %v", p, b.address(), err)
 				continue
 			}
-			g.logf("gateway: breaker broadcast: quarantined %s on %s", p, b.addr)
+			g.logf("gateway: breaker broadcast: quarantined %s on %s", p, b.address())
 		}
 	}
-}
-
-// fetchPopulation GETs one backend's population status; ok is false when
-// the backend lacks the subsystem or cannot be decoded.
-func (g *Gateway) fetchPopulation(b *backend) (core.PopulationStatus, bool) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+origin.PopulationPathV1, nil)
-	if err != nil {
-		return core.PopulationStatus{}, false
-	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return core.PopulationStatus{}, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-	_ = resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return core.PopulationStatus{}, false
-	}
-	var ps core.PopulationStatus
-	if err := json.Unmarshal(body, &ps); err != nil {
-		return core.PopulationStatus{}, false
-	}
-	return ps, true
 }
 
 // sweepDegraded mirrors organic degraded episodes fleet-wide and clears
@@ -154,8 +120,9 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 	degradedOn := make(map[*backend]map[string]struct{})
 	var popLive []*backend // backends with the population subsystem
 	for _, b := range live {
-		ps, ok := g.fetchPopulation(b)
-		if !ok {
+		// A backend without the subsystem (404), or whose read fails, sits out.
+		var ps core.PopulationStatus
+		if g.getJSON(b, origin.PopulationPathV1, maxPopulationBytes, &ps) != nil {
 			continue
 		}
 		popLive = append(popLive, b)
@@ -180,7 +147,7 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 				continue
 			}
 			if err := g.postControl(b, origin.PopulationDegradePathV1, p); err != nil {
-				g.logf("gateway: degrade broadcast %s to %s: %v", p, b.addr, err)
+				g.logf("gateway: degrade broadcast %s to %s: %v", p, b.address(), err)
 				continue
 			}
 			atomic.AddUint64(&g.metrics.DegradeBroadcasts, 1)
@@ -190,7 +157,7 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 			}
 			g.markedOn[p][b] = struct{}{}
 			g.ctlMu.Unlock()
-			g.logf("gateway: degrade broadcast: marked %s on %s", p, b.addr)
+			g.logf("gateway: degrade broadcast: marked %s on %s", p, b.address())
 		}
 	}
 
@@ -210,10 +177,10 @@ func (g *Gateway) sweepDegraded(live []*backend) {
 	for p, bs := range toClear {
 		for _, b := range bs {
 			if err := g.postControl(b, origin.PopulationClearPathV1, p); err != nil {
-				g.logf("gateway: degrade clear %s on %s: %v", p, b.addr, err)
+				g.logf("gateway: degrade clear %s on %s: %v", p, b.address(), err)
 				continue
 			}
-			g.logf("gateway: degrade clear: released %s on %s", p, b.addr)
+			g.logf("gateway: degrade clear: released %s on %s", p, b.address())
 		}
 	}
 }

@@ -16,49 +16,15 @@ import (
 	"oak/internal/core"
 	"oak/internal/origin"
 	"oak/internal/report"
-	"oak/internal/rules"
 )
 
-// Forwarding: reports and page serves are routed to the backend owning the
-// user's hash-ring arc and carried by the oak client's retry machinery
-// (SubmitBytes: backoff + jitter + Retry-After, bounded by ForwardTimeout).
-// When the primary's forward fails at the transport level, the request
-// fails over — once — to the standby or the next healthy backend, so a
-// freshly dead backend costs a retry schedule, not an error.
-
-// maxForwardBytes bounds a forwarded request body. It matches the origin's
-// worst-case batch bound (16 × 4 MB), so the gateway never accepts a body
-// the backend would reject outright.
-const maxForwardBytes = 64 << 20
-
-// mirrorHeaders are the response headers the gateway relays from backends.
-var mirrorHeaders = []string{"Content-Type", "Retry-After", rules.CacheHintHeader}
-
-// forwardTo POSTs a body to one backend under the gateway's retry
-// machinery.
-func (g *Gateway) forwardTo(ctx context.Context, b *backend, path, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, error) {
-	return g.fwd.SubmitBytes(ctx, b.addr+path, contentType, body, cookies)
-}
-
-// forwardWithFailover tries the primary, then the fallback. The returned
-// backend is the one that actually answered.
-func (g *Gateway) forwardWithFailover(ctx context.Context, i int, path, contentType string, body []byte, cookies []*http.Cookie) (*client.SubmitResult, *backend, error) {
-	primary, fallback := g.route(i)
-	res, err := g.forwardTo(ctx, primary, path, contentType, body, cookies)
-	if err == nil {
-		return res, primary, nil
-	}
-	if fallback == nil {
-		return nil, primary, err
-	}
-	atomic.AddUint64(&g.metrics.Failovers, 1)
-	g.logf("gateway: failover %s -> %s: %v", primary.addr, fallback.addr, err)
-	res, ferr := g.forwardTo(ctx, fallback, path, contentType, body, cookies)
-	if ferr != nil {
-		return nil, fallback, fmt.Errorf("primary: %v; failover: %w", err, ferr)
-	}
-	return res, fallback, nil
-}
+// Forwarding: reports and page serves are routed through forward to the
+// backend owning the user's hash-ring arc. Reports ride the oak client's
+// retry machinery (SubmitBytes: backoff + jitter + Retry-After, bounded by
+// ForwardTimeout); a page is one call, not retried. When the primary's
+// exchange fails, the request fails over — once — to the standby or the
+// next healthy backend, so a freshly dead backend costs a retry schedule,
+// not an error.
 
 // requestCookie returns the request's oak identity cookie, if any.
 func requestCookie(r *http.Request) *http.Cookie {
@@ -149,11 +115,7 @@ func (g *Gateway) handleReport(w http.ResponseWriter, r *http.Request) {
 	} else {
 		userID = sniffUserID(body)
 	}
-	var cookies []*http.Cookie
-	if ck != nil {
-		cookies = append(cookies, ck)
-	}
-	res, _, err := g.forwardWithFailover(ctx, g.ownerIndex(userID), origin.ReportPathV1, contentType, body, cookies)
+	res, err := g.forward(g.ownerIndex(userID), g.submit(ctx, contentType, body, ck))
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
@@ -262,7 +224,7 @@ func (g *Gateway) forwardSplit(ctx context.Context, w http.ResponseWriter, body 
 				// second time.
 				sub = bytes.Join(lines, sep)
 			}
-			res, _, err := g.forwardWithFailover(ctx, i, origin.ReportPathV1, contentType, sub, nil)
+			res, err := g.forward(i, g.submit(ctx, contentType, sub, nil))
 			mu.Lock()
 			parts = append(parts, part{lines: len(lines), res: res, err: err})
 			mu.Unlock()
@@ -358,54 +320,13 @@ func (g *Gateway) handlePage(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.ForwardTimeout)
 	defer cancel()
 
-	i := g.ownerIndex(ck.Value)
-	primary, fallback := g.route(i)
-	resp, err := g.proxyPage(ctx, primary, r, ck)
-	if err != nil && fallback != nil {
-		atomic.AddUint64(&g.metrics.Failovers, 1)
-		g.logf("gateway: page failover %s -> %s: %v", primary.addr, fallback.addr, err)
-		resp, err = g.proxyPage(ctx, fallback, r, ck)
-	}
+	res, err := g.forward(g.ownerIndex(ck.Value), func(addr string) (*client.SubmitResult, error) {
+		return g.call(ctx, addr, r.Method, r.URL.RequestURI(), "", nil, ck, maxForwardBytes)
+	})
 	if err != nil {
 		http.Error(w, "no backend reachable: "+err.Error(), http.StatusBadGateway)
 		return
 	}
 	atomic.AddUint64(&g.metrics.ForwardedPages, 1)
-	for _, h := range mirrorHeaders {
-		if v := resp.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(resp.Status)
-	_, _ = w.Write(resp.Body)
-}
-
-// proxyPage performs one backend page GET, returning the full response.
-func (g *Gateway) proxyPage(ctx context.Context, b *backend, r *http.Request, ck *http.Cookie) (*client.SubmitResult, error) {
-	req, err := http.NewRequestWithContext(ctx, r.Method, b.addr+r.URL.RequestURI(), nil)
-	if err != nil {
-		return nil, err
-	}
-	req.AddCookie(ck)
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxForwardBytes))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	return &client.SubmitResult{Status: resp.StatusCode, Header: resp.Header, Body: body}, nil
-}
-
-// mirror relays a backend response: selected headers, status, body.
-func mirror(w http.ResponseWriter, res *client.SubmitResult) {
-	for _, h := range mirrorHeaders {
-		if v := res.Header.Get(h); v != "" {
-			w.Header().Set(h, v)
-		}
-	}
-	w.WriteHeader(res.Status)
-	_, _ = w.Write(res.Body)
+	mirror(w, res)
 }

@@ -113,7 +113,7 @@ type Config struct {
 // backend is one oakd process the gateway fronts.
 type backend struct {
 	mu    sync.Mutex
-	addr  string // base URL, normalised to http://host:port
+	addr  string // base URL, normalised to http://host:port; read via address()
 	state BackendState
 	// drained pins the state machine at draining (operator Drain); cleared
 	// by Replace and Undrain.
@@ -128,6 +128,13 @@ type backend struct {
 	// kept for node replacement.
 	snapshot   []byte
 	snapshotAt time.Time
+}
+
+// address is the backend's current base URL; Replace rewrites it.
+func (b *backend) address() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.addr
 }
 
 func (b *backend) snapshotState() (state BackendState, fails int, lastErr string, hz *origin.HealthzResponse) {

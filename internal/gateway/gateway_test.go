@@ -37,6 +37,8 @@ type fakeBackend struct {
 	stateGot    []byte // body received on POST /oak/v1/state
 	stateServe  []byte // body served on GET /oak/v1/state
 	stateLength int64  // when > 0, GET /oak/v1/state serves this many bytes
+	pageLength  int64  // when > 0, a page serve streams this many bytes
+	shedAfter   string // when set, reports answer 503 with this Retry-After
 	batchReply  *core.BatchResult
 }
 
@@ -54,6 +56,11 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		case origin.HealthzPathV1:
 			_ = json.NewEncoder(w).Encode(f.healthz)
 		case origin.ReportPathV1:
+			if f.shedAfter != "" {
+				w.Header().Set("Retry-After", f.shedAfter)
+				http.Error(w, "overloaded", http.StatusServiceUnavailable)
+				return
+			}
 			body, _ := io.ReadAll(r.Body)
 			f.reports = append(f.reports, body)
 			if f.batchReply != nil {
@@ -86,22 +93,31 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 				_, _ = w.Write(f.stateServe)
 				return
 			}
-			// Stream stateServe padded with zeros to the declared length,
-			// stopping once the client hangs up.
-			w.Header().Set("Content-Length", strconv.FormatInt(f.stateLength, 10))
-			_, _ = w.Write(f.stateServe)
-			pad := make([]byte, 64<<10)
-			for n := f.stateLength - int64(len(f.stateServe)); n > 0; n -= int64(len(pad)) {
-				if _, err := w.Write(pad[:min(n, int64(len(pad)))]); err != nil {
-					return
-				}
-			}
+			writePadded(w, f.stateServe, f.stateLength)
 		default: // page serve
-			_, _ = fmt.Fprintf(w, "page-from-%s", f.ts.Listener.Addr())
+			page := []byte(fmt.Sprintf("page-from-%s", f.ts.Listener.Addr()))
+			if f.pageLength == 0 {
+				_, _ = w.Write(page)
+				return
+			}
+			writePadded(w, page, f.pageLength)
 		}
 	}))
 	t.Cleanup(f.ts.Close)
 	return f
+}
+
+// writePadded streams head padded with zeros to the declared length n,
+// stopping once the client hangs up.
+func writePadded(w http.ResponseWriter, head []byte, n int64) {
+	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	_, _ = w.Write(head)
+	pad := make([]byte, 64<<10)
+	for n -= int64(len(head)); n > 0; n -= int64(len(pad)) {
+		if _, err := w.Write(pad[:min(n, int64(len(pad)))]); err != nil {
+			return
+		}
+	}
 }
 
 func (f *fakeBackend) setDown(v bool) {
@@ -135,14 +151,19 @@ func (f *fakeBackend) snapshot() received {
 
 func newTestGateway(t *testing.T, backends []*fakeBackend, standby *fakeBackend) *gateway.Gateway {
 	t.Helper()
-	cfg := gateway.Config{}
+	return newTestGatewayWith(t, gateway.Config{Logf: t.Logf}, backends, standby)
+}
+
+// newTestGatewayWith is newTestGateway over a caller-tuned Config; the
+// backend and standby addresses are filled in from the fakes.
+func newTestGatewayWith(t *testing.T, cfg gateway.Config, backends []*fakeBackend, standby *fakeBackend) *gateway.Gateway {
+	t.Helper()
 	for _, b := range backends {
 		cfg.Backends = append(cfg.Backends, b.ts.URL)
 	}
 	if standby != nil {
 		cfg.Standby = standby.ts.URL
 	}
-	cfg.Logf = t.Logf
 	gw, err := gateway.NewGateway(cfg)
 	if err != nil {
 		t.Fatal(err)

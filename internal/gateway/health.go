@@ -1,11 +1,6 @@
 package gateway
 
 import (
-	"context"
-	"encoding/json"
-	"fmt"
-	"io"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -18,33 +13,6 @@ import (
 // readmitted automatically. Consecutive failures walk the state machine
 // down: FailThreshold → unhealthy, DrainThreshold → draining,
 // DeadThreshold → dead.
-
-// probeBackend fetches one backend's healthz under the probe timeout.
-func (g *Gateway) probeBackend(b *backend) (*origin.HealthzResponse, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ProbeTimeout)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, b.addr+origin.HealthzPathV1, nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	_ = resp.Body.Close()
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("healthz status %d", resp.StatusCode)
-	}
-	var hz origin.HealthzResponse
-	if err := json.Unmarshal(body, &hz); err != nil {
-		return nil, fmt.Errorf("decode healthz: %w", err)
-	}
-	return &hz, nil
-}
 
 // noteProbe applies one probe outcome to the backend's state machine,
 // returning the transition (old != new) for logging.
@@ -82,9 +50,10 @@ func (g *Gateway) noteProbe(b *backend, hz *origin.HealthzResponse, err error) (
 // for deterministic state-machine transitions.
 func (g *Gateway) ProbeOnce() {
 	for _, b := range g.all() {
-		hz, err := g.probeBackend(b)
-		if old, now := g.noteProbe(b, hz, err); old != now {
-			g.logf("gateway: backend %s %s -> %s (%v)", b.addr, old, now, err)
+		var hz origin.HealthzResponse
+		err := g.getJSON(b, origin.HealthzPathV1, maxHealthzBytes, &hz)
+		if old, now := g.noteProbe(b, &hz, err); old != now {
+			g.logf("gateway: backend %s %s -> %s (%v)", b.address(), old, now, err)
 		}
 	}
 	atomic.AddUint64(&g.metrics.ProbeCycles, 1)
@@ -104,7 +73,7 @@ func (g *Gateway) Drain(i int) {
 		b.state = StateDraining
 	}
 	b.mu.Unlock()
-	g.logf("gateway: backend %s drained by operator", b.addr)
+	g.logf("gateway: backend %s drained by operator", b.address())
 }
 
 // Undrain releases an operator drain; the next successful probe restores

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -35,40 +34,30 @@ const (
 	ClusterDrainPathV1 = origin.V1Prefix + "/cluster/drain"
 )
 
+// stateURI is the state endpoint, optionally restricted to one hash-ring
+// arc.
+func stateURI(rng *core.HashRange) string {
+	if rng == nil {
+		return origin.StatePathV1
+	}
+	return fmt.Sprintf("%s?lo=%d&hi=%d", origin.StatePathV1, rng.Lo, rng.Hi)
+}
+
 // fetchState GETs a backend's snapshot, optionally restricted to one
-// hash-ring arc.
+// hash-ring arc. A snapshot over the bound the receiving node accepts fails
+// the fetch rather than being cut short: ShipSnapshots keeps the last good
+// copy.
 func (g *Gateway) fetchState(b *backend, rng *core.HashRange) ([]byte, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), g.cfg.ForwardTimeout)
 	defer cancel()
-	u := b.addr + origin.StatePathV1
-	if rng != nil {
-		u += fmt.Sprintf("?lo=%d&hi=%d", rng.Lo, rng.Hi)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	res, err := g.call(ctx, b.address(), http.MethodGet, stateURI(rng), "", nil, nil, origin.MaxStateBytes)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return nil, err
+	if res.Status != http.StatusOK {
+		return nil, fmt.Errorf("state export status %d", res.Status)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("state export status %d", resp.StatusCode)
-	}
-	// A snapshot over the bound the receiving node accepts fails the fetch
-	// rather than being cut short: ShipSnapshots keeps the last good copy.
-	if resp.ContentLength > origin.MaxStateBytes {
-		return nil, fmt.Errorf("state export of %d bytes exceeds %d", resp.ContentLength, origin.MaxStateBytes)
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, origin.MaxStateBytes+1))
-	if err != nil {
-		return nil, err
-	}
-	if len(data) > origin.MaxStateBytes {
-		return nil, fmt.Errorf("state export exceeds %d bytes", origin.MaxStateBytes)
-	}
-	return data, nil
+	return res.Body, nil
 }
 
 // postState POSTs a snapshot to a node (addr is a base URL, not
@@ -76,23 +65,12 @@ func (g *Gateway) fetchState(b *backend, rng *core.HashRange) ([]byte, error) {
 // fleet yet). A nil range ships the whole snapshot (the receiver marks its
 // state source "shipped"); a range splices one arc in.
 func (g *Gateway) postState(ctx context.Context, addr string, rng *core.HashRange, data []byte) error {
-	u := addr + origin.StatePathV1
-	if rng != nil {
-		u += fmt.Sprintf("?lo=%d&hi=%d", rng.Lo, rng.Hi)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, bytes.NewReader(data))
+	res, err := g.call(ctx, addr, http.MethodPost, stateURI(rng), "application/octet-stream", data, nil, maxReplyBytes)
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := g.httpc.Do(req)
-	if err != nil {
-		return err
-	}
-	body, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	_ = resp.Body.Close()
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("state import status %d: %s", resp.StatusCode, bytes.TrimSpace(body))
+	if res.Status != http.StatusNoContent {
+		return fmt.Errorf("state import status %d: %s", res.Status, bytes.TrimSpace(res.Body))
 	}
 	return nil
 }
@@ -156,7 +134,7 @@ func (g *Gateway) Replace(ctx context.Context, i int, newAddr string) error {
 	default:
 		// Nothing to rehydrate from; the replacement starts fresh. Still a
 		// valid replacement — the fleet heals forward.
-		g.logf("gateway: replacing %s with no state to ship", b.addr)
+		g.logf("gateway: replacing %s with no state to ship", b.address())
 	}
 
 	b.mu.Lock()

@@ -5,7 +5,9 @@
 # vet cleanliness, and — because internal/obs ships lock-free histograms
 # and a ring buffer feeding the concurrent engine — race-checks the
 # packages where that concurrency lives (including the chaos suite in
-# internal/faultinject, which drives the full loop under injected faults).
+# internal/faultinject, which drives the full loop under injected faults)
+# and the gateway's forward path end to end: internal/gateway, the
+# internal/client retry loop every forwarded report rides, and cmd/oakgw.
 # A short fuzz smoke over the snapshot importer keeps hostile state files
 # from ever aborting a boot; another over the compiled applier keeps the
 # single-pass rewriter provably equivalent to the sequential reference;
@@ -54,8 +56,8 @@ go vet ./...
 echo "== go test ./... =="
 go test ./...
 
-echo "== go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway =="
-go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway
+echo "== go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway ./internal/client ./cmd/oakgw =="
+go test -race ./internal/core ./internal/obs ./internal/origin ./internal/faultinject ./internal/gateway ./internal/client ./cmd/oakgw
 
 echo "== fuzz smoke: FuzzImportState (5s) =="
 go test -run '^$' -fuzz FuzzImportState -fuzztime 5s ./internal/core
